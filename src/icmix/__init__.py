@@ -16,6 +16,7 @@ from .harness import (
     EvalMetrics,
     GradcheckReport,
     ModelSpec,
+    NonFiniteError,
     RunReport,
     TrainConfig,
     TrainSpec,

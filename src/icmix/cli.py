@@ -15,6 +15,7 @@ from pathlib import Path
 from .data import DatasetFileError
 from .harness import (
     ConfigError,
+    NonFiniteError,
     analyze_interpolation,
     build_dataset_pair,
     dataset_spec_from_dict,
@@ -117,6 +118,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VALIDATION
+    except NonFiniteError as exc:
+        print(f"numeric check failed: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (DatasetFileError, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

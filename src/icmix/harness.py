@@ -10,6 +10,7 @@ run report, never in the CSV.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -38,6 +39,17 @@ class ConfigError(ValueError):
     def __init__(self, problems):
         self.problems = list(problems)
         super().__init__("invalid configuration:\n" + "\n".join(f"  - {p}" for p in self.problems))
+
+
+class NonFiniteError(ArithmeticError):
+    """A training step or an epoch's evaluation gave a non-finite loss.
+
+    ``epoch`` is 1-based and ``step`` counts SGD steps from the start of the run.
+    """
+
+    def __init__(self, what: str, value: float, epoch: int, step: int):
+        self.epoch, self.step = epoch, step
+        super().__init__(f"{what} is {value} at epoch {epoch}, step {step}")
 
 
 @dataclass
@@ -397,7 +409,8 @@ def train(config: TrainConfig, out_dir=None) -> RunReport:
     Per epoch: seeded shuffle, per-batch mixing and loss, SGD update, then a
     clean evaluation of both splits (test-time predictions always use the
     original classes). With ``out_dir`` set, writes metrics.csv,
-    checkpoint.bin, and run_report.json there.
+    checkpoint.bin, and run_report.json there. A non-finite step or
+    evaluation loss raises NonFiniteError before anything is written.
     """
     validate_train_config(config)
     out_path = None
@@ -423,6 +436,7 @@ def train(config: TrainConfig, out_dir=None) -> RunReport:
     ))
 
     keep_singletons = config.method.method == "none"
+    step = 0  # SGD steps taken over the whole run
     records: list[EpochRecord] = []
     epoch_seconds: list[float] = []
     t_start = time.perf_counter()
@@ -438,6 +452,9 @@ def train(config: TrainConfig, out_dir=None) -> RunReport:
                 params, config.method, train_ds.images[idx], train_ds.labels[idx],
                 histogram, loop_rng,
             )
+            step += 1
+            if not math.isfinite(value):
+                raise NonFiniteError("training loss", value, epoch, step)
             sgd_step(params, grads, opt)
             loss_sum += value * n_rows
             rows += n_rows
@@ -445,6 +462,9 @@ def train(config: TrainConfig, out_dir=None) -> RunReport:
             raise ValueError("no trainable batches: training set smaller than one pairable batch")
         train_eval = evaluate(params, train_ds)
         test_eval = evaluate(params, test_ds)
+        for split, loss in (("train", train_eval.loss), ("test", test_eval.loss)):
+            if not math.isfinite(loss):
+                raise NonFiniteError(f"{split} eval loss", loss, epoch, step)
         records.append(EpochRecord(epoch, "train", loss_sum / rows, train_eval.accuracy, opt.lr))
         records.append(EpochRecord(epoch, "test", test_eval.loss, test_eval.accuracy, opt.lr))
         epoch_seconds.append(time.perf_counter() - t_epoch)

@@ -89,19 +89,30 @@ def mixed_scores(r: np.ndarray, w: np.ndarray, y_tilde: np.ndarray) -> MixedScor
     return MixedScoreMatrix.from_logits(r @ w, y_tilde)
 
 
+def _diagonal_ce(ms: MixedScoreMatrix, axis: int, name: str) -> LossResult:
+    """Cross-entropy along ``axis`` of s_tilde with diagonal targets, from one exponential.
+
+    Sums run along ``axis`` of s_tilde itself: a contiguous transpose would sum in another order.
+    """
+    st = ms.s_tilde
+    mx = np.max(st, axis=axis, keepdims=True)
+    z = st - mx
+    np.exp(z, out=z)
+    sums = np.sum(z, axis=axis, keepdims=True)
+    log_z = mx.ravel() + np.log(sums.ravel())
+    z /= sums
+    z.flat[:: len(z) + 1] -= 1.0  # softmax minus the identity
+    z /= len(z)
+    return LossResult(float(np.mean(log_z - np.diag(st))), z @ ms.mix_weights,
+                      {"axis": name, f"log_z_{name}": log_z})
+
+
 def loss_cc(ms: MixedScoreMatrix) -> LossResult:
     """Class-axis contrastive loss: each row of s_tilde against its diagonal.
 
     Negatives are the other interpolated classes scored on the same sample.
     """
-    st = ms.s_tilde
-    b = st.shape[0]
-    log_z = log_sum_exp_rows(st)
-    value = float(np.mean(log_z - np.diag(st)))
-    p = softmax_rows(st)
-    grad_st = (p - np.eye(b)) / b
-    grad_s = grad_st @ ms.mix_weights
-    return LossResult(value, grad_s, {"axis": "cc", "log_z_cc": log_z})
+    return _diagonal_ce(ms, axis=1, name="cc")
 
 
 def loss_ci(ms: MixedScoreMatrix) -> LossResult:
@@ -110,14 +121,7 @@ def loss_ci(ms: MixedScoreMatrix) -> LossResult:
     Negatives are the other mixed samples scored with the same interpolated
     classifier; identical to loss_cc applied to s_tilde transposed.
     """
-    st_t = ms.s_tilde.T
-    b = st_t.shape[0]
-    log_z = log_sum_exp_rows(st_t)
-    value = float(np.mean(log_z - np.diag(st_t)))
-    q = softmax_rows(st_t).T  # column softmax of s_tilde
-    grad_st = (q - np.eye(b)) / b
-    grad_s = grad_st @ ms.mix_weights
-    return LossResult(value, grad_s, {"axis": "ci", "log_z_ci": log_z})
+    return _diagonal_ce(ms, axis=0, name="ci")
 
 
 def loss_ic_joint(ms: MixedScoreMatrix, axes: str = "both") -> LossResult:
@@ -132,14 +136,9 @@ def loss_ic_joint(ms: MixedScoreMatrix, axes: str = "both") -> LossResult:
         return loss_cc(ms)
     if axes == "ci":
         return loss_ci(ms)
-    cc = loss_cc(ms)
-    ci = loss_ci(ms)
-    diagnostics = {
-        "loss_cc": cc.value,
-        "loss_ci": ci.value,
-        "log_z_cc": cc.diagnostics["log_z_cc"],
-        "log_z_ci": ci.diagnostics["log_z_ci"],
-    }
+    cc, ci = loss_cc(ms), loss_ci(ms)
+    diagnostics = {"loss_cc": cc.value, "loss_ci": ci.value,
+                   "log_z_cc": cc.diagnostics["log_z_cc"], "log_z_ci": ci.diagnostics["log_z_ci"]}
     return LossResult(cc.value + ci.value, cc.grad_s + ci.grad_s, diagnostics)
 
 

@@ -97,6 +97,23 @@ def naive_contrastive_loss(s_tilde, axis):
     return total / b
 
 
+def dense_contrastive_grad_s(s_tilde, mix_weights, axis):
+    """Logit gradient of the cc or ci loss by the textbook dense formula.
+
+    ((softmax - I) / B) @ M, with the max-shifted softmax taken along rows
+    (cc) or, through a transposed view, down columns (ci), and an explicit
+    identity matrix. Same numpy operations as a plain row softmax, so the
+    result pins the package's arithmetic bit for bit.
+    """
+    m = s_tilde if axis == "cc" else s_tilde.T
+    z = np.exp(m - np.max(m, axis=1, keepdims=True))
+    p = z / np.sum(z, axis=1, keepdims=True)
+    if axis == "ci":
+        p = p.T
+    b = s_tilde.shape[0]
+    return ((p - np.eye(b)) / b) @ mix_weights
+
+
 def naive_forward_logits(params, x):
     """Per-neuron scalar recomputation of the network forward pass."""
     h = np.asarray(x, dtype=np.float64)

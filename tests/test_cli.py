@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 
 from icmix.cli import main
 
@@ -99,6 +100,21 @@ def test_analyze_bad_step_is_validation_error(tmp_path):
     assert main(["analyze", "--checkpoint", str(out / "checkpoint.bin"),
                  "--dataset", json.dumps(report["config"]["dataset"]),
                  "--step", "0.3", "--out", str(tmp_path / "c.csv")]) == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_training_is_numeric_error_and_writes_nothing(tmp_path, capsys):
+    # lr 1e6 overflows the weights; the training loss turns nan in epoch 9
+    cfg = {"seed": 3, "dataset": {"kind": "blobs"}, "model": {"hidden_dims": [64]},
+           "train": {"epochs": 10, "lr": 1e6, "lr_steps": [100]}, "method": {"name": "ic_mixup"}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "training loss is nan at epoch 9, step 26" in err
+    assert not (out / "metrics.csv").exists()
+    assert not (out / "checkpoint.bin").exists()
 
 
 def test_gradcheck_pass_and_fail_paths(capsys):

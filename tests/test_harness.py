@@ -5,6 +5,8 @@ import pytest
 
 from icmix.harness import (
     ConfigError,
+    EvalMetrics,
+    NonFiniteError,
     analyze_interpolation,
     batch_loss_and_grads,
     build_dataset_pair,
@@ -199,6 +201,17 @@ class TestTrain:
     def test_single_axis_training_works(self, axes):
         report = train(_blob_config(method="ic_mixup", epochs=30, axes=axes))
         assert report.final_test_accuracy >= 0.90
+
+    def test_non_finite_eval_loss_stops_before_writing(self, tmp_path, monkeypatch):
+        def evaluate_inf_on_test(params, ds):
+            metrics = evaluate(params, ds)
+            return EvalMetrics(metrics.accuracy, float("inf"), ds.size) if ds.split == "test" else metrics
+
+        monkeypatch.setattr("icmix.harness.evaluate", evaluate_inf_on_test)
+        with pytest.raises(NonFiniteError, match="test eval loss is inf at epoch 1, step 5") as err:
+            train(_blob_config(method="ic_mixup", epochs=3), out_dir=tmp_path)
+        assert (err.value.epoch, err.value.step) == (1, 5)
+        assert list(tmp_path.iterdir()) == []
 
     def test_lr_schedule_recorded(self):
         cfg = train_config_from_dict({

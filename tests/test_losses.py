@@ -19,6 +19,7 @@ from icmix.mixing import one_hot
 from icmix.numerics import RngState, softmax_rows
 
 from oracles import (
+    dense_contrastive_grad_s,
     fd_grad,
     max_rel_err,
     naive_contrastive_loss,
@@ -37,6 +38,23 @@ def _instance(seed, b, c, d, alpha=1.0):
     lam = np.array([rng.sample_beta(alpha) for _ in range(b)])
     y = lam[:, None] * one_hot(labels, c) + (1.0 - lam)[:, None] * one_hot(labels[perm], c)
     return r, w, y
+
+
+def _regmixup_instance(seed, b, c, d):
+    # clean one-hot rows stacked over a mixed batch, as regmixup composes one:
+    # repeated classes in the clean half give identical s_tilde columns
+    r, w, y = _instance(seed, b, c, d)
+    rng = RngState(seed + 1)
+    clean_r = rng.normals(b * d).reshape(b, d)
+    labels = np.array([rng.randbelow(c) for _ in range(b)], dtype=np.int64)
+    return np.vstack([clean_r, r]), w, np.vstack([one_hot(labels, c), y])
+
+
+def _large_instances(seed):
+    """Batches past numpy's 8-entry pairwise-summation threshold, plain and regmixup-style."""
+    yield _instance(seed, b=64, c=10, d=6)
+    yield _instance(seed + 1, b=300, c=10, d=4)
+    yield _regmixup_instance(seed + 2, b=32, c=3, d=5)
 
 
 class TestBuildMixedClassifier:
@@ -105,9 +123,14 @@ class TestLossCc:
         assert loss_cc(ms).value < 1e-9
 
     def test_value_matches_bruteforce_normalizer(self):
-        r, w, y = _instance(6, b=3, c=4, d=5)
-        ms = mixed_scores(r, w, y)
-        assert loss_cc(ms).value == pytest.approx(naive_contrastive_loss(ms.s_tilde, "cc"), abs=1e-12)
+        for r, w, y in [_instance(6, b=3, c=4, d=5), *_large_instances(60)]:
+            ms = mixed_scores(r, w, y)
+            assert loss_cc(ms).value == pytest.approx(naive_contrastive_loss(ms.s_tilde, "cc"), abs=1e-12)
+
+    def test_grad_is_dense_formula_bitwise(self):
+        for r, w, y in [_instance(6, b=3, c=4, d=5), *_large_instances(61)]:
+            ms = mixed_scores(r, w, y)
+            assert np.array_equal(loss_cc(ms).grad_s, dense_contrastive_grad_s(ms.s_tilde, y, "cc"))
 
     def test_grad_matches_finite_differences(self):
         r, w, y = _instance(7, b=3, c=4, d=5)
@@ -132,16 +155,27 @@ class TestLossCi:
             assert loss_ci(ms).value == pytest.approx(math.log(b), abs=1e-12)
 
     def test_symmetric_matrix_equals_cc_exactly(self):
-        rng = RngState(9)
-        a = rng.normals(16).reshape(4, 4)
-        sym = a + a.T
-        ms = MixedScoreMatrix(np.zeros((4, 4)), sym, np.eye(4))
-        assert loss_ci(ms).value == loss_cc(ms).value
+        for b in (4, 64, 300):
+            rng = RngState(9)
+            a = rng.normals(b * b).reshape(b, b)
+            sym = a + a.T
+            ms = MixedScoreMatrix(np.zeros((b, b)), sym, np.eye(b))
+            if b < 8:
+                assert loss_ci(ms).value == loss_cc(ms).value
+            else:
+                # from 8 entries numpy sums a contiguous row pairwise but a
+                # column in sequence, so the axes agree only up to rounding
+                assert loss_ci(ms).value == pytest.approx(loss_cc(ms).value, rel=1e-15)
 
     def test_value_matches_bruteforce_normalizer(self):
-        r, w, y = _instance(10, b=4, c=5, d=3)
-        ms = mixed_scores(r, w, y)
-        assert loss_ci(ms).value == pytest.approx(naive_contrastive_loss(ms.s_tilde, "ci"), abs=1e-12)
+        for r, w, y in [_instance(10, b=4, c=5, d=3), *_large_instances(100)]:
+            ms = mixed_scores(r, w, y)
+            assert loss_ci(ms).value == pytest.approx(naive_contrastive_loss(ms.s_tilde, "ci"), abs=1e-12)
+
+    def test_grad_is_dense_formula_bitwise(self):
+        for r, w, y in [_instance(10, b=4, c=5, d=3), *_large_instances(101)]:
+            ms = mixed_scores(r, w, y)
+            assert np.array_equal(loss_ci(ms).grad_s, dense_contrastive_grad_s(ms.s_tilde, y, "ci"))
 
     def test_grad_matches_finite_differences(self):
         r, w, y = _instance(11, b=4, c=3, d=5)
@@ -171,8 +205,8 @@ class TestLossJoint:
         assert loss_ic_joint(ms, "ci").value == loss_ci(ms).value
 
     def test_both_is_bitwise_sum(self):
-        for seed in range(5):
-            r, w, y = _instance(100 + seed, b=5, c=4, d=3)
+        small = [_instance(100 + seed, b=5, c=4, d=3) for seed in range(5)]
+        for r, w, y in [*small, *_large_instances(110)]:
             ms = mixed_scores(r, w, y)
             joint = loss_ic_joint(ms, "both")
             assert joint.value == loss_cc(ms).value + loss_ci(ms).value
