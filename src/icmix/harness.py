@@ -14,12 +14,13 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .data import Dataset, load_cifar, longtail_subsample, standardize, stratified_subsample, synth_blobs
 from .losses import MixedScoreMatrix, grad_w_cc, grad_w_ci, grad_w_mixup, loss_cc, loss_ci, loss_ic_joint, loss_mixup_ce, mixed_scores
-from .mixing import AXES, METHODS, REGMIXUP_METHODS, ClassHistogram, MixConfig, mix_batch, one_hot, regmixup_compose
+from .mixing import AXES, METHODS, MIN_ALPHA, REGMIXUP_METHODS, ClassHistogram, MixConfig, mix_batch, one_hot, regmixup_compose
 from .model import ModelParams, OptimizerState, SgdConfig, backward, forward, init_model, save_checkpoint, sgd_step
 from .numerics import RngState, log_sum_exp_rows, round_half_up
 
@@ -90,153 +91,117 @@ class TrainConfig:
     method: MixConfig
 
 
-def default_lr_steps(epochs: int) -> tuple[int, ...]:
-    """Decay boundaries at the quarter points, as in a 200-epoch 50/100/150 plan."""
-    return tuple(sorted({max(1, round_half_up(f * epochs)) for f in (0.25, 0.5, 0.75)}))
-
-
-_TOP_KEYS = {"seed", "dataset", "model", "train", "method"}
-_DATASET_KEYS = {"kind", "path", "fraction", "imbalance_ratio", "seed", "num_classes", "per_class", "dim", "spread"}
-_MODEL_KEYS = {"hidden_dims"}
-_TRAIN_KEYS = {"epochs", "batch_size", "lr", "momentum", "weight_decay", "lr_steps", "lr_decay"}
-_METHOD_KEYS = {"name", "alpha", "tau", "kappa", "axes"}
-
-
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_num(v) -> bool:
-    return (isinstance(v, (int, float)) and not isinstance(v, bool))
+def _is_int_list(v) -> bool:
+    return isinstance(v, list) and all(_is_int(x) and x >= 1 for x in v)
 
 
-def _check_keys(d: dict, allowed: set, where: str, problems: list[str]) -> None:
-    unknown = sorted(set(d) - allowed)
+class _Field(NamedTuple):
+    """One config key: the rule its value must meet and how the value is stored."""
+
+    requirement: str  # completes "must be ..." in the problem message
+    ok: Callable[[object], bool]
+    convert: Callable[[object], object] = lambda v: v
+    attr: str = ""  # the spec attribute, when it is not named like the key
+    required: bool = False  # absent is reported as None instead of taking the spec default
+
+
+def _number(requirement: str, ok: Callable[[float], bool]) -> _Field:
+    # JSON admits Infinity and NaN; no number field accepts them
+    return _Field(requirement, lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                                          and math.isfinite(v) and ok(v)), float)
+
+
+def _one_of(choices: tuple[str, ...], **kw) -> _Field:
+    return _Field(f"one of {choices}", lambda v: isinstance(v, str) and v in choices, **kw)
+
+
+_COUNT = _Field("an integer >= 1", lambda v: _is_int(v) and v >= 1)
+# RngState keeps 64 bits of a seed, so a wider one would run as some other seed
+_SEED = _Field("an integer in [0, 2**64)", lambda v: _is_int(v) and 0 <= v < 2**64)
+_UNIT = _number("a number in (0, 1]", lambda v: 0.0 < v <= 1.0)
+
+# The one place a config key's type, range, message and conversion are written.
+# Defaults come from the spec dataclasses; a section's keys are listed in the
+# order of its spec's fields, which is the order of resolved_config_dict.
+_SCHEMA: dict[str, dict[str, _Field]] = {
+    "config": {"seed": _SEED},
+    "dataset": {
+        "kind": _one_of(DATASET_KINDS, required=True),
+        "path": _Field("a string", lambda v: v is None or isinstance(v, str)),
+        "fraction": _UNIT,
+        "imbalance_ratio": _UNIT,
+        "seed": _SEED,
+        "num_classes": _COUNT,
+        "per_class": _COUNT,
+        "dim": _COUNT,
+        "spread": _number("a finite number > 0", lambda v: v > 0),
+    },
+    "model": {
+        "hidden_dims": _Field("a list of integers >= 1", _is_int_list, tuple),
+    },
+    "train": {
+        "epochs": _COUNT,
+        "batch_size": _COUNT,
+        "lr": _number("a finite number > 0", lambda v: v > 0),
+        "momentum": _number("a number in [0, 1)", lambda v: 0.0 <= v < 1.0),
+        "weight_decay": _number("a finite number >= 0", lambda v: v >= 0),
+        "lr_steps": _Field("a strictly increasing list of integers >= 1",
+                           lambda v: v is None or (_is_int_list(v) and v == sorted(set(v))),
+                           lambda v: v if v is None else tuple(v)),
+        "lr_decay": _UNIT,
+    },
+    "method": {
+        "name": _one_of(METHODS, attr="method"),
+        "alpha": _number(f"a finite number >= {MIN_ALPHA:g}", lambda v: v >= MIN_ALPHA),
+        "tau": _number("a number in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+        "kappa": _number("a finite number >= 1", lambda v: v >= 1.0),
+        "axes": _one_of(AXES),
+    },
+}
+_SECTIONS = ("dataset", "model", "train", "method")
+
+
+def _parse_section(section: str, d: dict, problems: list[str]) -> dict:
+    """The valid keys of ``d``, converted and named as spec attributes.
+
+    Appends a problem for unknown keys and for every key that breaks its rule.
+    """
+    fields = _SCHEMA[section]
+    unknown = sorted(set(d) - set(fields))
     if unknown:
-        problems.append(f"{where}: unknown keys {unknown}")
+        problems.append(f"{section}: unknown keys {unknown}")
+    values = {}
+    for key, f in fields.items():
+        if key not in d and not f.required:
+            continue
+        v = d.get(key)
+        if f.ok(v):
+            values[f.attr or key] = f.convert(v)
+        else:
+            name = key if section == "config" else f"{section}.{key}"
+            problems.append(f"{name}: must be {f.requirement}, got {v!r}")
+    return values
 
 
-def _parse_dataset(d: dict, problems: list[str], default_seed: int | None) -> DatasetSpec:
-    _check_keys(d, _DATASET_KEYS, "dataset", problems)
-    spec = DatasetSpec()
-    kind = d.get("kind")
-    if kind not in DATASET_KINDS:
-        problems.append(f"dataset.kind: must be one of {DATASET_KINDS}, got {kind!r}")
-    else:
-        spec.kind = kind
-    path = d.get("path")
-    if path is not None and not isinstance(path, str):
-        problems.append("dataset.path: must be a string")
-    elif kind in ("cifar10", "cifar100") and path is None:
-        problems.append(f"dataset.path: required for kind {kind!r}")
-    else:
-        spec.path = path
-    for key in ("fraction", "imbalance_ratio"):
-        v = d.get(key, 1.0)
-        if not _is_num(v) or not (0.0 < v <= 1.0):
-            problems.append(f"dataset.{key}: must be a number in (0, 1], got {v!r}")
-        else:
-            setattr(spec, key, float(v))
-    seed = d.get("seed", default_seed if default_seed is not None else 0)
-    if not _is_int(seed):
-        problems.append("dataset.seed: must be an integer")
-    else:
-        spec.seed = seed
-    for key in ("num_classes", "per_class", "dim"):
-        v = d.get(key, getattr(spec, key))
-        if not _is_int(v) or v < 1:
-            problems.append(f"dataset.{key}: must be an integer >= 1, got {v!r}")
-        else:
-            setattr(spec, key, v)
+def _dataset_spec(d: dict, problems: list[str]) -> DatasetSpec:
+    spec = DatasetSpec(**_parse_section("dataset", d, problems))
+    if spec.kind != "blobs" and d.get("path") is None:
+        problems.append(f"dataset.path: required for kind {spec.kind!r}")
     if spec.kind == "blobs" and spec.num_classes < 2:
         problems.append("dataset.num_classes: blobs need at least 2 classes")
-    spread = d.get("spread", spec.spread)
-    if not _is_num(spread) or not spread > 0:
-        problems.append(f"dataset.spread: must be a number > 0, got {spread!r}")
-    else:
-        spec.spread = float(spread)
     return spec
 
 
-def _parse_model(d: dict, problems: list[str]) -> ModelSpec:
-    _check_keys(d, _MODEL_KEYS, "model", problems)
-    spec = ModelSpec()
-    dims = d.get("hidden_dims", list(spec.hidden_dims))
-    if not isinstance(dims, list) or not all(_is_int(v) and v >= 1 for v in dims):
-        problems.append(f"model.hidden_dims: must be a list of integers >= 1, got {dims!r}")
-    else:
-        spec.hidden_dims = tuple(dims)
-    return spec
-
-
-def _parse_train(d: dict, problems: list[str]) -> TrainSpec:
-    _check_keys(d, _TRAIN_KEYS, "train", problems)
-    spec = TrainSpec()
-    epochs = d.get("epochs", spec.epochs)
-    if not _is_int(epochs) or epochs < 1:
-        problems.append(f"train.epochs: must be an integer >= 1, got {epochs!r}")
-    else:
-        spec.epochs = epochs
-    bs = d.get("batch_size", spec.batch_size)
-    if not _is_int(bs) or bs < 1:
-        problems.append(f"train.batch_size: must be an integer >= 1, got {bs!r}")
-    else:
-        spec.batch_size = bs
-    for key, cond, desc in (
-        ("lr", lambda v: v > 0, "> 0"),
-        ("momentum", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-        ("weight_decay", lambda v: v >= 0, ">= 0"),
-        ("lr_decay", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    ):
-        v = d.get(key, getattr(spec, key))
-        if not _is_num(v) or not cond(v):
-            problems.append(f"train.{key}: must be a number {desc}, got {v!r}")
-        else:
-            setattr(spec, key, float(v))
-    steps = d.get("lr_steps")
-    if steps is not None:
-        ok = (isinstance(steps, list) and all(_is_int(v) and v >= 1 for v in steps)
-              and list(steps) == sorted(set(steps)))
-        if not ok:
-            problems.append(f"train.lr_steps: must be a strictly increasing list of integers >= 1, got {steps!r}")
-        else:
-            spec.lr_steps = tuple(steps)
-    if spec.lr_steps is None and _is_int(epochs) and epochs >= 1:
-        spec.lr_steps = default_lr_steps(epochs)
-    return spec
-
-
-def _parse_method(d: dict, problems: list[str]) -> MixConfig:
-    _check_keys(d, _METHOD_KEYS, "method", problems)
-    name = d.get("name", "none")
-    if name not in METHODS:
-        problems.append(f"method.name: must be one of {METHODS}, got {name!r}")
-        name = "none"
-    alpha = d.get("alpha", 20.0 if name in REGMIXUP_METHODS else 0.2)
-    if not _is_num(alpha) or not alpha > 0:
-        problems.append(f"method.alpha: must be a number > 0, got {alpha!r}")
-        alpha = 0.2
-    tau = d.get("tau", 0.5)
-    if not _is_num(tau) or not 0.0 <= tau <= 1.0:
-        problems.append(f"method.tau: must be a number in [0, 1], got {tau!r}")
-        tau = 0.5
-    kappa = d.get("kappa", 3.0)
-    if not _is_num(kappa) or not kappa >= 1.0:
-        problems.append(f"method.kappa: must be a number >= 1, got {kappa!r}")
-        kappa = 3.0
-    axes = d.get("axes", "both")
-    if axes not in AXES:
-        problems.append(f"method.axes: must be one of {AXES}, got {axes!r}")
-        axes = "both"
-    return MixConfig(method=name, alpha=float(alpha), tau=float(tau), kappa=float(kappa), axes=axes)
-
-
-def dataset_spec_from_dict(d: dict, default_seed: int | None = None) -> DatasetSpec:
+def dataset_spec_from_dict(d: dict) -> DatasetSpec:
     """Parse a standalone dataset spec (as used by the eval/analyze CLI)."""
     if not isinstance(d, dict):
         raise ConfigError(["dataset: must be a JSON object"])
     problems: list[str] = []
-    spec = _parse_dataset(d, problems, default_seed)
+    spec = _dataset_spec(d, problems)
     if problems:
         raise ConfigError(problems)
     return spec
@@ -247,23 +212,27 @@ def train_config_from_dict(d: dict) -> TrainConfig:
     if not isinstance(d, dict):
         raise ConfigError(["config: must be a JSON object"])
     problems: list[str] = []
-    _check_keys(d, _TOP_KEYS, "config", problems)
+    top = {k: v for k, v in d.items() if k not in _SECTIONS}
+    seed = _parse_section("config", top, problems).get("seed", 0)
 
-    seed = d.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
-        problems.append(f"seed: must be a non-negative integer, got {seed!r}")
-        seed = 0
+    sections = {s: d.get(s, {"kind": "blobs"} if s == "dataset" else {}) for s in _SECTIONS}
+    for s, v in sections.items():
+        if not isinstance(v, dict):
+            problems.append(f"{s}: must be a JSON object")
+            sections[s] = {}
 
-    for section in ("dataset", "model", "train", "method"):
-        if section in d and not isinstance(d[section], dict):
-            problems.append(f"{section}: must be a JSON object")
-
-    dataset_default_seed = RngState(seed).derive(_STREAM_DATASET).seed
-    dataset = _parse_dataset(d.get("dataset", {"kind": "blobs"}) if isinstance(d.get("dataset", {}), dict) else {},
-                             problems, dataset_default_seed)
-    model = _parse_model(d.get("model", {}) if isinstance(d.get("model", {}), dict) else {}, problems)
-    train_spec = _parse_train(d.get("train", {}) if isinstance(d.get("train", {}), dict) else {}, problems)
-    method = _parse_method(d.get("method", {}) if isinstance(d.get("method", {}), dict) else {}, problems)
+    dataset = _dataset_spec(sections["dataset"], problems)
+    if "seed" not in sections["dataset"]:
+        dataset.seed = RngState(seed).derive(_STREAM_DATASET).seed
+    model = ModelSpec(**_parse_section("model", sections["model"], problems))
+    train_spec = TrainSpec(**_parse_section("train", sections["train"], problems))
+    if train_spec.lr_steps is None:  # the quarter points, as in a 200-epoch 50/100/150 plan
+        train_spec.lr_steps = tuple(sorted({max(1, round_half_up(f * train_spec.epochs))
+                                            for f in (0.25, 0.5, 0.75)}))
+    mix = _parse_section("method", sections["method"], problems)
+    if mix.get("method") in REGMIXUP_METHODS:
+        mix.setdefault("alpha", 20.0)
+    method = MixConfig(**mix)
 
     if method.method != "none" and train_spec.batch_size < 2:
         problems.append("train.batch_size: must be >= 2 when a mixing method is active")
@@ -273,28 +242,13 @@ def train_config_from_dict(d: dict) -> TrainConfig:
     return TrainConfig(seed=seed, dataset=dataset, model=model, train=train_spec, method=method)
 
 
-def validate_train_config(config: TrainConfig) -> None:
-    """Re-validate a possibly hand-constructed config via its dict form."""
-    train_config_from_dict(resolved_config_dict(config))
-
-
 def resolved_config_dict(config: TrainConfig) -> dict:
-    """Config with every default materialized, as written to the run report."""
-    out = {
-        "seed": config.seed,
-        "dataset": asdict(config.dataset),
-        "model": {"hidden_dims": list(config.model.hidden_dims)},
-        "train": asdict(config.train),
-        "method": {
-            "name": config.method.method,
-            "alpha": config.method.alpha,
-            "tau": config.method.tau,
-            "kappa": config.method.kappa,
-            "axes": config.method.axes,
-        },
-    }
-    steps = config.train.lr_steps
-    out["train"]["lr_steps"] = list(steps if steps is not None else default_lr_steps(config.train.epochs))
+    """The config as plain JSON values, keyed as in the schema, as written to the run report."""
+    out: dict = {"seed": config.seed}
+    for section in _SECTIONS:
+        spec = getattr(config, section)
+        values = {key: getattr(spec, f.attr or key) for key, f in _SCHEMA[section].items()}
+        out[section] = {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
     return out
 
 
@@ -412,7 +366,7 @@ def train(config: TrainConfig, out_dir=None) -> RunReport:
     checkpoint.bin, and run_report.json there. A non-finite step or
     evaluation loss raises NonFiniteError before anything is written.
     """
-    validate_train_config(config)
+    config = train_config_from_dict(resolved_config_dict(config))  # a hand-built config meets the same rules
     out_path = None
     if out_dir is not None:
         out_path = Path(out_dir)
@@ -428,11 +382,10 @@ def train(config: TrainConfig, out_dir=None) -> RunReport:
                         train_ds.num_classes, root.derive(_STREAM_INIT))
     loop_rng = root.derive(_STREAM_LOOP)
 
-    steps = config.train.lr_steps if config.train.lr_steps is not None else default_lr_steps(config.train.epochs)
     opt = OptimizerState(params, SgdConfig(
         lr=config.train.lr, momentum=config.train.momentum,
         weight_decay=config.train.weight_decay,
-        lr_decay=config.train.lr_decay, lr_steps=tuple(steps),
+        lr_decay=config.train.lr_decay, lr_steps=config.train.lr_steps,
     ))
 
     keep_singletons = config.method.method == "none"

@@ -21,6 +21,10 @@ IC_METHODS = frozenset({"ic_mixup", "ic_regmixup", "ic_remix"})
 REGMIXUP_METHODS = frozenset({"regmixup", "ic_regmixup"})
 REMIX_METHODS = frozenset({"remix", "ic_remix"})
 
+# Beta(alpha, alpha) draws slow down without bound as alpha shrinks: the
+# sampler's Gamma boost u**(1/alpha) underflows to 0 and the draw is retried.
+MIN_ALPHA = 1e-3
+
 
 @dataclass(frozen=True)
 class MixConfig:
@@ -43,8 +47,8 @@ class MixConfig:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.axes not in AXES:
             raise ValueError(f"unknown axes {self.axes!r}, expected one of {AXES}")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
+        if not self.alpha >= MIN_ALPHA:
+            raise ValueError(f"alpha must be >= {MIN_ALPHA:g}")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must be in [0, 1]")
         if not self.kappa >= 1.0:

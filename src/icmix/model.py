@@ -152,7 +152,6 @@ class OptimizerState:
         self.config = config
         self.lr = config.lr
         self.epoch = 1
-        self.step_count = 0
         self.buffers = ParamGrads(
             [DenseLayer(np.zeros_like(l.w), np.zeros_like(l.b)) for l in params.hidden],
             np.zeros_like(params.final_weights),
@@ -177,7 +176,6 @@ def sgd_step(params: ModelParams, grads: ParamGrads, state: OptimizerState) -> N
         _apply(layer.b, g.b, buf.b, state.lr, cfg.momentum, 0.0)
     _apply(params.final_weights, grads.final_weights, state.buffers.final_weights,
            state.lr, cfg.momentum, cfg.weight_decay)
-    state.step_count += 1
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

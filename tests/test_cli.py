@@ -78,6 +78,14 @@ def test_invalid_config_reports_problems(tmp_path, capsys):
     assert "train.epochs" in err and "extra" in err
 
 
+def test_infinite_alpha_is_validation_error(tmp_path, capsys):
+    # Python's json reads Infinity; a Beta draw with an infinite shape never returns
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"dataset": {"kind": "blobs"}, "method": {"name": "mixup", "alpha": Infinity}}')
+    assert main(["train", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert "method.alpha: must be a finite number" in capsys.readouterr().err
+
+
 def test_eval_class_width_mismatch_is_validation_error(tmp_path, capsys):
     config = _write_config(tmp_path, epochs=2)
     out = tmp_path / "run"

@@ -5,14 +5,19 @@ import pytest
 
 from icmix.harness import (
     ConfigError,
+    DatasetSpec,
     EvalMetrics,
+    ModelSpec,
     NonFiniteError,
+    TrainConfig,
+    TrainSpec,
     analyze_interpolation,
     batch_loss_and_grads,
     build_dataset_pair,
     dataset_spec_from_dict,
     evaluate,
     gradcheck,
+    resolved_config_dict,
     train,
     train_config_from_dict,
 )
@@ -112,11 +117,180 @@ class TestConfigParsing:
         explicit = train_config_from_dict({"seed": 2, "dataset": {"kind": "blobs", "seed": 77}})
         assert explicit.dataset.seed == 77
 
+    @pytest.mark.parametrize("section, key", [("method", "alpha"), ("train", "lr"), ("method", "kappa")])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_numbers_rejected(self, section, key, value):
+        with pytest.raises(ConfigError) as err:
+            train_config_from_dict({"dataset": {"kind": "blobs"}, section: {key: value}})
+        [problem] = err.value.problems
+        assert problem.startswith(f"{section}.{key}: must be a finite number")
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seeds_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ConfigError) as err:
+            train_config_from_dict({"seed": seed, "dataset": {"kind": "blobs", "seed": seed}})
+        assert err.value.problems == [f"seed: must be an integer in [0, 2**64), got {seed}",
+                                      f"dataset.seed: must be an integer in [0, 2**64), got {seed}"]
+
+    def test_alpha_below_floor_rejected(self):
+        with pytest.raises(ConfigError, match=r"method\.alpha: must be a finite number >= 0\.001"):
+            train_config_from_dict({"method": {"name": "mixup", "alpha": 1e-4}})
+
+    def test_hand_built_config_is_validated_and_resolved(self):
+        spec = dict(dataset=DatasetSpec(num_classes=3, per_class=20, dim=4), model=ModelSpec((8,)),
+                    train=TrainSpec(epochs=4, batch_size=16))
+        report = train(TrainConfig(seed=5, method=MixConfig("mixup"), **spec))
+        assert report.config["train"]["lr_steps"] == [1, 2, 3]
+        parsed = train(train_config_from_dict(report.config))
+        assert parsed.metrics_csv() == report.metrics_csv()
+        with pytest.raises(ConfigError, match="method.alpha"):
+            train(TrainConfig(seed=5, method=MixConfig("mixup", alpha=float("inf")), **spec))
+
     def test_standalone_dataset_spec(self):
         spec = dataset_spec_from_dict({"kind": "blobs", "per_class": 5})
         assert spec.per_class == 5 and spec.seed == 0
         with pytest.raises(ConfigError):
             dataset_spec_from_dict({"kind": "blobs", "bogus": 1})
+
+
+_METHOD_CHOICES = "('none', 'mixup', 'ic_mixup', 'regmixup', 'ic_regmixup', 'remix', 'ic_remix')"
+_KIND_CHOICES = "('cifar10', 'cifar100', 'blobs')"
+_SEED0_DATASET_SEED = 14804455941960215590  # RngState(0).derive(1).seed
+
+
+def _resolved(seed=0, **sections):
+    """The resolved config of an all-default run, with some fields of some sections replaced."""
+    out = {
+        "seed": seed,
+        "dataset": {"kind": "blobs", "path": None, "fraction": 1.0, "imbalance_ratio": 1.0,
+                    "seed": _SEED0_DATASET_SEED, "num_classes": 3, "per_class": 100, "dim": 10,
+                    "spread": 0.3},
+        "model": {"hidden_dims": [64]},
+        "train": {"epochs": 50, "batch_size": 128, "lr": 0.1, "momentum": 0.9, "weight_decay": 0.0005,
+                  "lr_steps": [13, 25, 38], "lr_decay": 0.2},
+        "method": {"name": "none", "alpha": 0.2, "tau": 0.5, "kappa": 3.0, "axes": "both"},
+    }
+    for section, values in sections.items():
+        out[section].update(values)
+    return out
+
+
+# Each config with either its resolved_config_dict or its exact ConfigError.problems, in order.
+CONFIG_GOLDEN = [
+    pytest.param({}, _resolved(), id="defaults"),
+    pytest.param({"seed": 4, "dataset": {"kind": "blobs"}},
+                 _resolved(4, dataset={"seed": 4765223346856496739}), id="minimal_blobs"),
+    pytest.param({
+        "seed": 7,
+        "dataset": {"kind": "blobs", "path": None, "fraction": 0.5, "imbalance_ratio": 0.2, "seed": 77,
+                    "num_classes": 4, "per_class": 20, "dim": 5, "spread": 1},
+        "model": {"hidden_dims": []},
+        "train": {"epochs": 200, "batch_size": 2, "lr": 1, "momentum": 0, "weight_decay": 0,
+                  "lr_steps": None, "lr_decay": 1},
+        "method": {"name": "ic_regmixup", "tau": 1, "kappa": 1, "axes": "cc"},
+    }, _resolved(
+        7,
+        dataset={"fraction": 0.5, "imbalance_ratio": 0.2, "seed": 77, "num_classes": 4, "per_class": 20,
+                 "dim": 5, "spread": 1.0},
+        model={"hidden_dims": []},
+        train={"epochs": 200, "batch_size": 2, "lr": 1.0, "momentum": 0.0, "weight_decay": 0.0,
+               "lr_steps": [50, 100, 150], "lr_decay": 1.0},
+        method={"name": "ic_regmixup", "alpha": 20.0, "tau": 1.0, "kappa": 1.0, "axes": "cc"},
+    ), id="every_field_set"),
+    pytest.param({
+        "seed": 2,
+        "dataset": {"kind": "cifar100", "path": "data/c100"},
+        "train": {"epochs": 3, "lr_steps": [1, 2]},
+        "method": {"name": "remix", "alpha": 1},
+    }, _resolved(
+        2,
+        dataset={"kind": "cifar100", "path": "data/c100", "seed": 3268634955820036610},
+        train={"epochs": 3, "lr_steps": [1, 2]},
+        method={"name": "remix", "alpha": 1.0},
+    ), id="cifar_with_path"),
+    pytest.param({"seed": 2**64 - 1, "dataset": {"kind": "blobs", "seed": 0}},
+                 _resolved(2**64 - 1, dataset={"seed": 0}), id="seed_bounds"),
+    pytest.param({"dataset": {"kind": "blobs"}, "method": {"name": "mixup", "alpha": float("inf")}},
+                 ["method.alpha: must be a finite number >= 0.001, got inf"], id="alpha_infinite"),
+    pytest.param({"dataset": {"kind": "blobs"}, "method": {"name": "mixup", "alpha": 1e-4}},
+                 ["method.alpha: must be a finite number >= 0.001, got 0.0001"], id="alpha_below_floor"),
+    pytest.param({"seed": 2**64}, ["seed: must be an integer in [0, 2**64), got 18446744073709551616"],
+                 id="seed_2_64"),
+    pytest.param({"dataset": {"kind": "blobs", "seed": -5}},
+                 ["dataset.seed: must be an integer in [0, 2**64), got -5"], id="dataset_seed_negative"),
+    pytest.param([], ["config: must be a JSON object"], id="config_not_object"),
+    pytest.param({"dataset": 5},
+                 ["dataset: must be a JSON object", f"dataset.kind: must be one of {_KIND_CHOICES}, got None"],
+                 id="dataset_not_object"),
+    pytest.param({"model": [64]}, ["model: must be a JSON object"], id="model_not_object"),
+    pytest.param({"method": "mixup"}, ["method: must be a JSON object"], id="method_not_object"),
+    pytest.param({"seed": 0, "dataset": {"kind": "blobs", "pathh": "x"}, "trian": {}},
+                 ["config: unknown keys ['trian']", "dataset: unknown keys ['pathh']"],
+                 id="unknown_keys_two_levels"),
+    pytest.param({"model": {"hidden": [3]}, "train": {"epoch": 3, "lr": 0.1}, "method": {"nme": "mixup", "beta": 1}},
+                 ["model: unknown keys ['hidden']", "train: unknown keys ['epoch']",
+                  "method: unknown keys ['beta', 'nme']"],
+                 id="unknown_keys_every_section"),
+    pytest.param({"method": {"name": []}}, [f"method.name: must be one of {_METHOD_CHOICES}, got []"],
+                 id="method_name_list"),
+    pytest.param({"method": {"name": {"regmixup": 1}}},
+                 [f"method.name: must be one of {_METHOD_CHOICES}, got {{'regmixup': 1}}"],
+                 id="method_name_dict"),
+    pytest.param({"dataset": {"kind": "blobs", "path": 5}}, ["dataset.path: must be a string, got 5"],
+                 id="dataset_path_int"),
+    pytest.param({"dataset": {"kind": "cifar10"}}, ["dataset.path: required for kind 'cifar10'"],
+                 id="cifar_without_path"),
+    pytest.param({"train": {"batch_size": 1}, "method": {"name": "mixup"}},
+                 ["train.batch_size: must be >= 2 when a mixing method is active"], id="mixup_batch_of_one"),
+    pytest.param({"dataset": {"kind": "blobs", "seed": 1.5}},
+                 ["dataset.seed: must be an integer in [0, 2**64), got 1.5"], id="dataset_seed_not_integer"),
+    pytest.param({"dataset": {"kind": "blobs", "num_classes": 1}},
+                 ["dataset.num_classes: blobs need at least 2 classes"], id="blobs_one_class"),
+    pytest.param({"train": {"lr_steps": [3, 2]}},
+                 ["train.lr_steps: must be a strictly increasing list of integers >= 1, got [3, 2]"],
+                 id="lr_steps_not_increasing"),
+    pytest.param({"model": {"hidden_dims": 64}},
+                 ["model.hidden_dims: must be a list of integers >= 1, got 64"], id="hidden_dims_not_list"),
+    pytest.param({
+        "seed": -3,
+        "dataset": {"kind": "mnist", "fraction": 2.0, "imbalance_ratio": 0, "num_classes": 0,
+                    "per_class": 1.5, "dim": True, "spread": 0},
+        "model": {"hidden_dims": [0]},
+        "train": {"epochs": 0, "batch_size": 0, "lr": -1, "momentum": 1, "weight_decay": -1, "lr_decay": 0},
+        "method": {"name": "cutmix", "alpha": 0, "tau": 7, "kappa": 0.5, "axes": "rows"},
+    }, [
+        "seed: must be an integer in [0, 2**64), got -3",
+        f"dataset.kind: must be one of {_KIND_CHOICES}, got 'mnist'",
+        "dataset.fraction: must be a number in (0, 1], got 2.0",
+        "dataset.imbalance_ratio: must be a number in (0, 1], got 0",
+        "dataset.num_classes: must be an integer >= 1, got 0",
+        "dataset.per_class: must be an integer >= 1, got 1.5",
+        "dataset.dim: must be an integer >= 1, got True",
+        "dataset.spread: must be a finite number > 0, got 0",
+        "model.hidden_dims: must be a list of integers >= 1, got [0]",
+        "train.epochs: must be an integer >= 1, got 0",
+        "train.batch_size: must be an integer >= 1, got 0",
+        "train.lr: must be a finite number > 0, got -1",
+        "train.momentum: must be a number in [0, 1), got 1",
+        "train.weight_decay: must be a finite number >= 0, got -1",
+        "train.lr_decay: must be a number in (0, 1], got 0",
+        f"method.name: must be one of {_METHOD_CHOICES}, got 'cutmix'",
+        "method.alpha: must be a finite number >= 0.001, got 0",
+        "method.tau: must be a number in [0, 1], got 7",
+        "method.kappa: must be a finite number >= 1, got 0.5",
+        "method.axes: must be one of ('cc', 'ci', 'both'), got 'rows'",
+    ], id="every_field_invalid"),
+]
+
+
+@pytest.mark.parametrize("config, expected", CONFIG_GOLDEN)
+def test_config_golden(config, expected):
+    if isinstance(expected, dict):
+        assert resolved_config_dict(train_config_from_dict(config)) == expected
+    else:
+        with pytest.raises(ConfigError) as err:
+            train_config_from_dict(config)
+        assert err.value.problems == expected
 
 
 class TestEvaluate:

@@ -39,6 +39,8 @@ def test_mix_config_validation():
         MixConfig(method="cutmix")
     with pytest.raises(ValueError, match="alpha"):
         MixConfig(alpha=0.0)
+    with pytest.raises(ValueError, match="alpha must be >= 0.001"):
+        MixConfig(alpha=1e-4)
     with pytest.raises(ValueError, match="tau"):
         MixConfig(tau=1.5)
     with pytest.raises(ValueError, match="kappa"):
