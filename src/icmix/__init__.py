@@ -48,7 +48,6 @@ from .model import (
     ForwardCache,
     ModelParams,
     OptimizerState,
-    ParamGrads,
     SgdConfig,
     backward,
     forward,

@@ -363,15 +363,11 @@ def train(config: TrainConfig, out_dir=None) -> RunReport:
     Per epoch: seeded shuffle, per-batch mixing and loss, SGD update, then a
     clean evaluation of both splits (test-time predictions always use the
     original classes). With ``out_dir`` set, writes metrics.csv,
-    checkpoint.bin, and run_report.json there. A non-finite step or
-    evaluation loss raises NonFiniteError before anything is written.
+    checkpoint.bin, and run_report.json there, creating the directory only
+    once training has finished. A non-finite step or evaluation loss raises
+    NonFiniteError before anything is written.
     """
     config = train_config_from_dict(resolved_config_dict(config))  # a hand-built config meets the same rules
-    out_path = None
-    if out_dir is not None:
-        out_path = Path(out_dir)
-        out_path.mkdir(parents=True, exist_ok=True)
-
     train_ds, test_ds = build_dataset_pair(config.dataset)
     if config.method.method != "none" and train_ds.size < 2:
         raise ValueError("training set too small to pair for mixing")
@@ -429,7 +425,9 @@ def train(config: TrainConfig, out_dir=None) -> RunReport:
         total_seconds=time.perf_counter() - t_start,
         epoch_seconds=epoch_seconds,
     )
-    if out_path is not None:
+    if out_dir is not None:
+        out_path = Path(out_dir)
+        out_path.mkdir(parents=True, exist_ok=True)
         (out_path / "metrics.csv").write_text(report.metrics_csv())
         save_checkpoint(params, out_path / "checkpoint.bin")
         (out_path / "run_report.json").write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
@@ -473,8 +471,8 @@ def analyze_interpolation(params: ModelParams, ds: Dataset, step: float, seed: i
         raise ValueError(
             f"model outputs {params.num_classes} classes but dataset has {ds.num_classes}"
         )
-    if not step > 0:
-        raise ValueError("step must be > 0")
+    if not 0 < step <= 1:
+        raise ValueError("step must be in (0, 1]")
     n_steps = round_half_up(1.0 / step)
     if abs(n_steps * step - 1.0) > 1e-9:
         raise ValueError(f"step {step} does not divide 1")

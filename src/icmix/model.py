@@ -20,47 +20,60 @@ from .numerics import RngState, matrix
 
 @dataclass
 class DenseLayer:
-    """Weight/bias pair; also reused as the gradient container shape."""
+    """One hidden layer's weight and bias."""
 
     w: np.ndarray  # fan_in x fan_out
     b: np.ndarray  # fan_out
 
 
-@dataclass
 class ModelParams:
-    hidden: list[DenseLayer]
-    final_weights: np.ndarray  # D x C, no bias
+    """Every parameter tensor as a view into one C-contiguous float64 vector.
 
-    def __post_init__(self):
+    ``flat`` holds the weight matrices first (hidden0.w, ..., final_weights)
+    and the hidden biases after them, so weight decay covers the prefix
+    ``flat[:num_decayed]``. Gradients and momentum share this layout, and
+    this class is the only code that knows the tensor order and offsets.
+    The constructor copies the given tensors into a new vector.
+    """
+
+    def __init__(self, hidden: list[DenseLayer], final_weights: np.ndarray):
         dim = None
-        for i, layer in enumerate(self.hidden):
+        for i, layer in enumerate(hidden):
             if layer.w.ndim != 2 or layer.b.shape != (layer.w.shape[1],):
                 raise ValueError(f"hidden layer {i} has inconsistent shapes")
             if dim is not None and layer.w.shape[0] != dim:
                 raise ValueError(f"hidden layer {i} input width {layer.w.shape[0]} != {dim}")
             dim = layer.w.shape[1]
-        if self.final_weights.ndim != 2:
+        if final_weights.ndim != 2:
             raise ValueError("final_weights must be 2-D")
-        if dim is not None and self.final_weights.shape[0] != dim:
+        if dim is not None and final_weights.shape[0] != dim:
             raise ValueError("final_weights input width does not chain with the hidden stack")
+        tensors = [layer.w for layer in hidden] + [final_weights] + [layer.b for layer in hidden]
+        ends = np.cumsum([0] + [t.size for t in tensors]).tolist()
+        table = tuple(zip(ends, ends[1:], [t.shape for t in tensors]))
+        self._bind(np.concatenate([t.ravel() for t in tensors], dtype=np.float64), table)
+
+    def _bind(self, flat: np.ndarray, table: tuple) -> None:
+        n = len(table) // 2  # hidden layers: the table holds n weights, final_weights, n biases
+        views = [flat[start:stop].reshape(shape) for start, stop, shape in table]
+        self.flat, self._table = flat, table
+        self.hidden = [DenseLayer(w, b) for w, b in zip(views[:n], views[n + 1:])]
+        self.final_weights = views[n]
+        self.num_decayed = table[n][1]
+
+    def empty_like(self) -> ModelParams:
+        """Tensors of this layout on a new, uninitialized vector."""
+        out = object.__new__(ModelParams)
+        out._bind(np.empty_like(self.flat), self._table)
+        return out
 
     @property
     def input_dim(self) -> int:
         return int(self.hidden[0].w.shape[0]) if self.hidden else int(self.final_weights.shape[0])
 
     @property
-    def feature_dim(self) -> int:
-        return int(self.final_weights.shape[0])
-
-    @property
     def num_classes(self) -> int:
         return int(self.final_weights.shape[1])
-
-
-@dataclass
-class ParamGrads:
-    hidden: list[DenseLayer]
-    final_weights: np.ndarray
 
 
 @dataclass
@@ -80,22 +93,13 @@ def init_model(input_dim: int, hidden_dims, num_classes: int, rng: RngState) -> 
     Entries are drawn row-major per tensor, tensors in layer order, so the
     parameters are a pure function of (architecture, rng state).
     """
-    hidden = []
-    fan_in = int(input_dim)
-    for width in hidden_dims:
+    dims = [int(input_dim), *map(int, hidden_dims), int(num_classes)]
+    weights = []
+    for fan_in, fan_out in zip(dims, dims[1:]):
         limit = math.sqrt(6.0 / fan_in)
-        w = np.array(
-            [(2.0 * rng.random() - 1.0) * limit for _ in range(fan_in * width)],
-            dtype=np.float64,
-        ).reshape(fan_in, width)
-        hidden.append(DenseLayer(w, np.zeros(width, dtype=np.float64)))
-        fan_in = int(width)
-    limit = math.sqrt(6.0 / fan_in)
-    final = np.array(
-        [(2.0 * rng.random() - 1.0) * limit for _ in range(fan_in * num_classes)],
-        dtype=np.float64,
-    ).reshape(fan_in, num_classes)
-    return ModelParams(hidden, final)
+        weights.append(np.array([(2.0 * rng.random() - 1.0) * limit for _ in range(fan_in * fan_out)],
+                                dtype=np.float64).reshape(fan_in, fan_out))
+    return ModelParams([DenseLayer(w, np.zeros(w.shape[1])) for w in weights[:-1]], weights[-1])
 
 
 def forward(params: ModelParams, inputs: np.ndarray) -> ForwardCache:
@@ -114,20 +118,21 @@ def forward(params: ModelParams, inputs: np.ndarray) -> ForwardCache:
     return ForwardCache(x, pre, act, h, logits)
 
 
-def backward(params: ModelParams, cache: ForwardCache, grad_logits: np.ndarray) -> ParamGrads:
-    """Gradients for every parameter tensor given d(loss)/d(logits)."""
+def backward(params: ModelParams, cache: ForwardCache, grad_logits: np.ndarray) -> ModelParams:
+    """Gradients for every parameter, in the layout of ``params``, given d(loss)/d(logits)."""
     grad_logits = np.asarray(grad_logits, dtype=np.float64)
     if grad_logits.shape != cache.logits.shape:
         raise ValueError(f"grad_logits {grad_logits.shape} != logits {cache.logits.shape}")
-    grad_final = cache.features.T @ grad_logits
+    grads = params.empty_like()
+    np.matmul(cache.features.T, grad_logits, out=grads.final_weights)
     g = grad_logits @ params.final_weights.T
-    hidden_grads: list[DenseLayer | None] = [None] * len(params.hidden)
     for k in range(len(params.hidden) - 1, -1, -1):
         dz = g * (cache.pre_activations[k] > 0.0)
         prev = cache.activations[k - 1] if k > 0 else cache.inputs
-        hidden_grads[k] = DenseLayer(prev.T @ dz, dz.sum(axis=0))
+        np.matmul(prev.T, dz, out=grads.hidden[k].w)
+        dz.sum(axis=0, out=grads.hidden[k].b)
         g = dz @ params.hidden[k].w.T
-    return ParamGrads(hidden_grads, grad_final)
+    return grads
 
 
 @dataclass(frozen=True)
@@ -146,36 +151,31 @@ def lr_for_epoch(config: SgdConfig, epoch: int) -> float:
 
 
 class OptimizerState:
-    """Momentum buffers plus the current learning rate and epoch counter."""
+    """The momentum vector, in the parameters' flat layout, and the current learning rate."""
 
     def __init__(self, params: ModelParams, config: SgdConfig):
         self.config = config
         self.lr = config.lr
-        self.epoch = 1
-        self.buffers = ParamGrads(
-            [DenseLayer(np.zeros_like(l.w), np.zeros_like(l.b)) for l in params.hidden],
-            np.zeros_like(params.final_weights),
-        )
+        self.momentum = np.zeros_like(params.flat)
 
     def set_epoch(self, epoch: int) -> None:
-        self.epoch = int(epoch)
-        self.lr = lr_for_epoch(self.config, self.epoch)
+        self.lr = lr_for_epoch(self.config, int(epoch))
 
 
-def _apply(param: np.ndarray, grad: np.ndarray, buf: np.ndarray, lr: float, momentum: float, wd: float) -> None:
-    buf *= momentum
-    buf += grad + wd * param
-    param -= lr * buf
+def sgd_step(params: ModelParams, grads: ModelParams, state: OptimizerState) -> None:
+    """One heavy-ball update, in place: m = m*mu + (g + wd*p), p -= lr*m.
 
-
-def sgd_step(params: ModelParams, grads: ParamGrads, state: OptimizerState) -> None:
-    """One heavy-ball update, in place. Weight decay skips biases."""
+    Weight decay covers the weight prefix of the flat vector. The biases
+    keep the ``0.0 * p`` term of a zero decay: dropping it would flip the
+    sign of some zero momentum entries, and with them some zero parameters.
+    """
     cfg = state.config
-    for layer, g, buf in zip(params.hidden, grads.hidden, state.buffers.hidden):
-        _apply(layer.w, g.w, buf.w, state.lr, cfg.momentum, cfg.weight_decay)
-        _apply(layer.b, g.b, buf.b, state.lr, cfg.momentum, 0.0)
-    _apply(params.final_weights, grads.final_weights, state.buffers.final_weights,
-           state.lr, cfg.momentum, cfg.weight_decay)
+    n = params.num_decayed
+    p, g, m = params.flat, grads.flat, state.momentum
+    m *= cfg.momentum
+    m[:n] += g[:n] + cfg.weight_decay * p[:n]
+    m[n:] += g[n:] + 0.0 * p[n:]
+    p -= state.lr * m
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

@@ -206,7 +206,7 @@ class RngState:
         Draws are snapped to the 2^-53 grid so the complement 1 - lam is
         exact, which keeps complementary mixing weights bit-symmetric.
         """
-        if not alpha > 0.0:
+        if not 0.0 < alpha < math.inf:
             raise ValueError("invalid shape parameter")
         a = float(alpha)
         while True:

@@ -132,3 +132,16 @@ def naive_forward_logits(params, x):
             logits[n, j] = sum(h[n, k] * params.final_weights[k, j]
                                for k in range(params.final_weights.shape[0]))
     return logits
+
+
+def sgd_step_per_tensor(tensors, grads, buffers, decays, lr, momentum):
+    """Heavy-ball SGD applied one tensor at a time, in place.
+
+    The per-tensor update the flat-vector optimizer replaced: for each
+    tensor, buf = buf*momentum + (grad + decay*param), then
+    param -= lr*buf, with decay 0.0 for biases.
+    """
+    for param, grad, buf, decay in zip(tensors, grads, buffers, decays):
+        buf *= momentum
+        buf += grad + decay * param
+        param -= lr * buf

@@ -100,14 +100,18 @@ def test_missing_checkpoint_is_io_error(tmp_path):
     assert main(["eval", "--checkpoint", str(tmp_path / "none.bin"), "--dataset", spec]) == 3
 
 
-def test_analyze_bad_step_is_validation_error(tmp_path):
+def test_analyze_bad_step_is_validation_error(tmp_path, capsys):
     config = _write_config(tmp_path, epochs=2)
     out = tmp_path / "run"
     assert main(["train", "--config", str(config), "--out", str(out)]) == 0
     report = json.loads((out / "run_report.json").read_text())
-    assert main(["analyze", "--checkpoint", str(out / "checkpoint.bin"),
-                 "--dataset", json.dumps(report["config"]["dataset"]),
-                 "--step", "0.3", "--out", str(tmp_path / "c.csv")]) == 1
+    capsys.readouterr()
+    # inf used to pass the check and end in a ZeroDivisionError traceback
+    for step in ("0.3", "inf", "nan"):
+        assert main(["analyze", "--checkpoint", str(out / "checkpoint.bin"),
+                     "--dataset", json.dumps(report["config"]["dataset"]),
+                     "--step", step, "--out", str(tmp_path / "c.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: step")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -121,8 +125,7 @@ def test_diverging_training_is_numeric_error_and_writes_nothing(tmp_path, capsys
     assert main(["train", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "training loss is nan at epoch 9, step 26" in err
-    assert not (out / "metrics.csv").exists()
-    assert not (out / "checkpoint.bin").exists()
+    assert not out.exists()
 
 
 def test_gradcheck_pass_and_fail_paths(capsys):

@@ -383,9 +383,9 @@ class TestTrain:
 
         monkeypatch.setattr("icmix.harness.evaluate", evaluate_inf_on_test)
         with pytest.raises(NonFiniteError, match="test eval loss is inf at epoch 1, step 5") as err:
-            train(_blob_config(method="ic_mixup", epochs=3), out_dir=tmp_path)
+            train(_blob_config(method="ic_mixup", epochs=3), out_dir=tmp_path / "run")
         assert (err.value.epoch, err.value.step) == (1, 5)
-        assert list(tmp_path.iterdir()) == []
+        assert not (tmp_path / "run").exists()
 
     def test_lr_schedule_recorded(self):
         cfg = train_config_from_dict({

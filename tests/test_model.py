@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from icmix import container
 from icmix.losses import MixedScoreMatrix, loss_cc, loss_ci, loss_ic_joint, loss_mixup_ce
 from icmix.mixing import one_hot
 from icmix.model import (
@@ -18,7 +19,7 @@ from icmix.model import (
 )
 from icmix.numerics import RngState
 
-from oracles import fd_grad, max_rel_err, naive_forward_logits
+from oracles import fd_grad, max_rel_err, naive_forward_logits, sgd_step_per_tensor
 
 
 def _random_net(seed, input_dim, hidden_dims, num_classes):
@@ -86,11 +87,8 @@ def _param_tensors(params):
     yield "final", params.final_weights
 
 
-def _grad_tensors(grads):
-    for i, layer in enumerate(grads.hidden):
-        yield f"hidden{i}.w", layer.w
-        yield f"hidden{i}.b", layer.b
-    yield "final", grads.final_weights
+def _bits(tensors):
+    return np.concatenate([t.ravel() for t in tensors]).view(np.uint64)
 
 
 def _check_full_net_gradients(seed, loss_name):
@@ -113,7 +111,7 @@ def _check_full_net_gradients(seed, loss_name):
     res = run_loss(params)
     grads = backward(params, forward(params, x), res.grad_s)
     worst = 0.0
-    for (name, tensor), (_, analytic) in zip(_param_tensors(params), _grad_tensors(grads)):
+    for (name, tensor), (_, analytic) in zip(_param_tensors(params), _param_tensors(grads)):
         flat = tensor.reshape(-1) if tensor.ndim > 1 else tensor
 
         def loss_with(values, tensor=tensor):
@@ -147,9 +145,7 @@ class TestSgd:
         params = ModelParams([], np.ones((2, 2)))
         state = OptimizerState(params, SgdConfig(lr=0.1, momentum=0.0, weight_decay=0.0))
         g = np.full((2, 2), 0.5)
-        from icmix.model import ParamGrads
-
-        sgd_step(params, ParamGrads([], g.copy()), state)
+        sgd_step(params, ModelParams([], g.copy()), state)
         assert np.max(np.abs(params.final_weights - (1.0 - 0.1 * 0.5))) < 1e-15
 
     def test_lr_decay_crossing_boundary(self):
@@ -163,27 +159,60 @@ class TestSgd:
         assert state.lr == pytest.approx(0.02, abs=1e-15)
 
     def test_two_momentum_steps_displacement(self):
-        from icmix.model import ParamGrads
-
         eta, g_val = 0.05, 0.3
         params = ModelParams([], np.zeros((1, 1)))
         state = OptimizerState(params, SgdConfig(lr=eta, momentum=0.9, weight_decay=0.0, lr_steps=()))
         g = np.full((1, 1), g_val)
-        sgd_step(params, ParamGrads([], g.copy()), state)
-        sgd_step(params, ParamGrads([], g.copy()), state)
+        sgd_step(params, ModelParams([], g.copy()), state)
+        sgd_step(params, ModelParams([], g.copy()), state)
         expected = -eta * g_val * (1.0 + 1.9)
         assert params.final_weights[0, 0] == pytest.approx(expected, abs=1e-15)
 
     def test_weight_decay_skips_biases(self):
-        from icmix.model import ParamGrads
-
         params = ModelParams([DenseLayer(np.ones((1, 1)), np.ones(1))], np.ones((1, 1)))
         state = OptimizerState(params, SgdConfig(lr=1.0, momentum=0.0, weight_decay=0.5, lr_steps=()))
-        zero = ParamGrads([DenseLayer(np.zeros((1, 1)), np.zeros(1))], np.zeros((1, 1)))
+        zero = ModelParams([DenseLayer(np.zeros((1, 1)), np.zeros(1))], np.zeros((1, 1)))
         sgd_step(params, zero, state)
         assert params.hidden[0].w[0, 0] == pytest.approx(0.5)   # decayed
         assert params.hidden[0].b[0] == pytest.approx(1.0)      # untouched
         assert params.final_weights[0, 0] == pytest.approx(0.5)
+
+
+class TestFlatLayout:
+    def test_every_tensor_is_a_view_of_flat_weights_first(self):
+        params = _random_net(30, 5, [7, 4], 3)
+        grads = backward(params, forward(params, RngState(31).normals(10).reshape(2, 5)), np.ones((2, 3)))
+        for p in (params, grads):
+            tensors = dict(_param_tensors(p))
+            assert all(np.shares_memory(t, p.flat) for t in tensors.values())
+            weights = [tensors[k] for k in ("hidden0.w", "hidden1.w", "final")]
+            biases = [tensors[k] for k in ("hidden0.b", "hidden1.b")]
+            assert p.num_decayed == sum(t.size for t in weights)
+            assert np.array_equal(p.flat, np.concatenate([t.ravel() for t in weights + biases]))
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_sgd_steps_bit_equal_per_tensor_oracle(self, momentum):
+        params = _random_net(32, 5, [7, 4], 3)
+        cfg = SgdConfig(lr=0.05, momentum=momentum, weight_decay=1e-3, lr_steps=())
+        state = OptimizerState(params, cfg)
+        names = [name for name, _ in _param_tensors(params)]
+        ref = [t.copy() for _, t in _param_tensors(params)]
+        ref_bufs = [np.zeros_like(t) for t in ref]
+        decays = [0.0 if name.endswith(".b") else cfg.weight_decay for name in names]
+        rng = RngState(33)
+        for step in range(5):
+            grads = params.empty_like()
+            grads.flat[:] = rng.normals(grads.flat.size)
+            # unit 2 of hidden1 dies after one step: a zero weight column and a -0.0 bias gradient
+            grads.hidden[1].b[2] = -0.5 if step == 0 else -0.0
+            grads.hidden[1].w[:, 2] = 0.5 if step == 0 else 0.0
+            grad_tensors = [t.copy() for _, t in _param_tensors(grads)]
+            sgd_step(params, grads, state)
+            sgd_step_per_tensor(ref, grad_tensors, ref_bufs, decays, cfg.lr, momentum)
+        assert np.array_equal(_bits(t for _, t in _param_tensors(params)), _bits(ref))
+        buffers = params.empty_like()  # the momentum vector, seen through the parameter layout
+        buffers.flat[:] = state.momentum
+        assert np.array_equal(_bits(t for _, t in _param_tensors(buffers)), _bits(ref_bufs))
 
 
 class TestInit:
@@ -221,6 +250,14 @@ class TestCheckpoint:
         path.write_bytes(raw[:-8])
         with pytest.raises(ValueError, match="expected"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("hidden_dims", [[], [8, 4]])
+    def test_bytes_equal_per_tensor_container(self, tmp_path, hidden_dims):
+        params = _random_net(103, 6, hidden_dims, 5)
+        save_checkpoint(params, tmp_path / "model.bin")
+        tensors = [t.copy() for _, t in _param_tensors(params)]
+        container.write_container(tmp_path / "ref.bin", container.KIND_CHECKPOINT, (len(hidden_dims), 0), tensors)
+        assert (tmp_path / "model.bin").read_bytes() == (tmp_path / "ref.bin").read_bytes()
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
