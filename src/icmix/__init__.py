@@ -8,7 +8,7 @@ differentiated feedforward model, dataset tooling, and a config-driven
 training harness round out the package.
 """
 
-from .data import Dataset, DatasetFileError, load_cifar, load_dataset, longtail_subsample, save_dataset, standardize, stratified_subsample, synth_blobs
+from .data import Dataset, DatasetFileError, load_cifar, longtail_subsample, standardize, stratified_subsample, synth_blobs
 from .harness import (
     ConfigError,
     CurveTable,

@@ -1,12 +1,11 @@
 """Flat binary container for float64 arrays.
 
-Used for model checkpoints and saved synthetic datasets. Layout, all
-integers little-endian:
+Used for model checkpoints. Layout, all integers little-endian:
 
     offset  size            field
     0       8               magic  b"ICMXBIN\\x00"
     8       u32             format version (currently 1)
-    12      u32             kind (1 = model checkpoint, 2 = dataset)
+    12      u32             kind (1 = model checkpoint)
     16      2 x u64         kind-specific metadata
     32      u32             n_arrays
     36      per array:      ndim u32, then ndim x u64 dims
@@ -14,11 +13,12 @@ integers little-endian:
                             concatenated in table order
 
 The file length must match the header exactly; trailing or missing bytes are
-rejected.
+rejected. Array sizes are exact integer products, so no dims overflow the check.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -27,7 +27,6 @@ import numpy as np
 MAGIC = b"ICMXBIN\x00"
 VERSION = 1
 KIND_CHECKPOINT = 1
-KIND_DATASET = 2
 
 
 def write_container(path, kind: int, meta: tuple[int, int], arrays: list[np.ndarray]) -> None:
@@ -63,12 +62,12 @@ def read_container(path) -> tuple[int, tuple[int, int], list[np.ndarray]]:
         dims = struct.unpack_from(f"<{ndim}Q", raw, offset)
         offset += 8 * ndim
         shapes.append(tuple(int(d) for d in dims))
-    expected = offset + sum(8 * int(np.prod(s, dtype=np.int64)) for s in shapes)
+    expected = offset + sum(8 * math.prod(s) for s in shapes)
     if len(raw) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(raw)}")
     arrays = []
     for shape in shapes:
-        count = int(np.prod(shape, dtype=np.int64))
+        count = math.prod(shape)
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
         arrays.append(arr.astype(np.float64))
         offset += 8 * count

@@ -1,10 +1,11 @@
 """Dataset ingestion and construction.
 
-Parses the CIFAR-10/100 binary archives record by record, supports
+Parses the CIFAR-10/100 binary archives into uint8 pixel rows, supports
 stratified fractional subsampling and exponential long-tailed subsampling,
 generates synthetic Gaussian blobs for fast deterministic experiments, and
 standardizes pixel channels using statistics fitted on the training split
-actually used.
+actually used. CIFAR pixels stay bytes until standardization, so only the
+rows a run keeps are ever converted to float64.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import container
 from .numerics import RngState, matrix, round_half_up
 
 SPLITS = ("train", "test")
@@ -51,8 +51,10 @@ class DatasetFileError(OSError):
 class Dataset:
     """Feature matrix plus integer labels.
 
-    ``channels`` partitions the feature columns into equal contiguous groups
-    for per-channel standardization (3 for CIFAR's RGB planes, 1 otherwise).
+    ``images`` is either raw uint8 pixels, as ``load_cifar`` returns them, or
+    a finite float64 matrix. ``channels`` partitions the feature columns into
+    equal contiguous groups for per-channel standardization (3 for CIFAR's
+    RGB planes, 1 otherwise).
     """
 
     images: np.ndarray
@@ -62,7 +64,15 @@ class Dataset:
     channels: int = 1
 
     def __post_init__(self):
-        self.images = matrix(self.images, name="images")
+        images = np.asarray(self.images)
+        # bytes are always finite, so uint8 images are kept as given: no copy, no scan
+        if images.dtype == np.float64:
+            images = matrix(images, name="images")
+        elif images.dtype != np.uint8:
+            raise ValueError(f"images must be uint8 or float64, got {images.dtype}")
+        elif images.ndim != 2:
+            raise ValueError(f"images must be 2-D, got ndim={images.ndim}")
+        self.images = images
         self.labels = np.asarray(self.labels, dtype=np.int64)
         n, d = self.images.shape
         if n < 1:
@@ -85,12 +95,14 @@ class Dataset:
 
 
 def load_cifar(path, variant: str, split: str) -> Dataset:
-    """Parse a CIFAR binary directory into a Dataset.
+    """Parse a CIFAR binary directory into a Dataset of uint8 pixels.
 
     ``path`` is the directory holding the standard .bin files. Each record
-    is label byte(s) followed by 3072 pixel bytes (1024 per RGB plane);
-    pixels are scaled to [0, 1]. File sizes are checked exactly before any
-    parsing, so a truncated archive never yields a partial dataset.
+    is label byte(s) followed by 3072 pixel bytes (1024 per RGB plane).
+    ``images`` is a view of the pixel bytes of one record buffer;
+    ``standardize`` scales them to [0, 1]. File sizes are checked exactly
+    before any parsing, so a truncated archive never yields a partial
+    dataset.
     """
     if variant not in _CIFAR:
         raise ValueError(f"unknown variant {variant!r}, expected 'cifar10' or 'cifar100'")
@@ -103,23 +115,25 @@ def load_cifar(path, variant: str, split: str) -> Dataset:
         per_file = per_file[split]
 
     base = Path(path)
-    blobs = []
-    for name in spec["files"][split]:
+    names = spec["files"][split]
+    expected = per_file * record_len
+    records = np.empty((len(names) * per_file, record_len), dtype=np.uint8)
+    for i, name in enumerate(names):
         fp = base / name
         if not fp.is_file():
             raise DatasetFileError(f"{fp}: missing dataset file")
-        raw = fp.read_bytes()
-        expected = per_file * record_len
-        if len(raw) != expected:
+        found = fp.stat().st_size
+        if found != expected:
             raise DatasetFileError(
-                f"{fp}: corrupt or wrong-variant file, expected {expected} bytes, found {len(raw)}"
+                f"{fp}: corrupt or wrong-variant file, expected {expected} bytes, found {found}"
             )
-        blobs.append(np.frombuffer(raw, dtype=np.uint8).reshape(per_file, record_len))
+        with fp.open("rb") as f:
+            read = f.readinto(records[i * per_file:(i + 1) * per_file])
+        if read != expected:
+            raise DatasetFileError(f"{fp}: expected {expected} bytes, read {read}")
 
-    records = np.vstack(blobs)
     labels = records[:, spec["fine_label_offset"]].astype(np.int64)
-    images = records[:, spec["label_bytes"]:].astype(np.float64) / 255.0
-    return Dataset(images, labels, spec["num_classes"], split, channels=3)
+    return Dataset(records[:, spec["label_bytes"]:], labels, spec["num_classes"], split, channels=3)
 
 
 def stratified_subsample(ds: Dataset, fraction: float, seed: int) -> Dataset:
@@ -208,55 +222,36 @@ def synth_blobs(num_classes: int, per_class: int, dim: int, spread: float, seed:
     return draw("train", root.derive(0)), draw("test", root.derive(1))
 
 
+def _float_images(ds: Dataset) -> np.ndarray:
+    """A new C-contiguous float64 copy of the images, bytes scaled to [0, 1]."""
+    out = np.array(ds.images, dtype=np.float64, order="C")
+    if ds.images.dtype == np.uint8:
+        out /= 255.0
+    return out
+
+
 def standardize(train: Dataset, test: Dataset | None = None):
     """Shift/scale each channel to mean 0, stddev 1 using training statistics.
 
     The test split is transformed with the statistics fitted on the training
-    split, never its own. Returns (train, test) with test possibly None.
+    split, never its own. Each split is converted to float64 once and then
+    transformed in place. Returns (train, test) with test possibly None.
     """
     n, d = train.images.shape
+    if test is not None and (test.channels != train.channels or test.images.shape[1] != d):
+        raise ValueError("train and test layouts disagree")
     width = d // train.channels
-    grouped = train.images.reshape(n, train.channels, width)
+    train_x = _float_images(train)
+    grouped = train_x.reshape(n, train.channels, width)
     mean = grouped.mean(axis=(0, 2))
     std = grouped.std(axis=(0, 2))
     if np.any(std == 0.0):
         raise ValueError("cannot standardize: a channel has zero variance")
 
-    def apply(ds: Dataset) -> Dataset:
-        shaped = ds.images.reshape(ds.size, ds.channels, width)
-        out = (shaped - mean[None, :, None]) / std[None, :, None]
-        return replace(ds, images=out.reshape(ds.size, d))
+    def apply(ds: Dataset, x: np.ndarray) -> Dataset:
+        shaped = x.reshape(ds.size, ds.channels, width)
+        shaped -= mean[None, :, None]
+        shaped /= std[None, :, None]
+        return replace(ds, images=x)
 
-    if test is not None and (test.channels != train.channels or test.images.shape[1] != d):
-        raise ValueError("train and test layouts disagree")
-    return apply(train), (apply(test) if test is not None else None)
-
-
-_SPLIT_CODE = {"train": 0, "test": 1}
-_SPLIT_NAME = {v: k for k, v in _SPLIT_CODE.items()}
-
-
-def save_dataset(ds: Dataset, path) -> None:
-    """Persist a dataset in the flat binary container (kind 2).
-
-    Arrays are [images, labels, channels]; metadata holds num_classes and
-    the split code.
-    """
-    arrays = [ds.images, ds.labels.astype(np.float64), np.array([[float(ds.channels)]])]
-    container.write_container(
-        path, container.KIND_DATASET, (ds.num_classes, _SPLIT_CODE[ds.split]), arrays
-    )
-
-
-def load_dataset(path) -> Dataset:
-    kind, meta, arrays = container.read_container(path)
-    if kind != container.KIND_DATASET:
-        raise ValueError(f"{path}: container kind {kind} is not a dataset")
-    if len(arrays) != 3:
-        raise ValueError(f"{path}: expected 3 arrays, found {len(arrays)}")
-    images, labels_f, channels = arrays
-    labels = labels_f.astype(np.int64)
-    if np.any(labels_f != labels):
-        raise ValueError(f"{path}: non-integer labels")
-    return Dataset(images, labels.ravel(), meta[0], _SPLIT_NAME[meta[1]],
-                   channels=int(channels.ravel()[0]))
+    return apply(train, train_x), (apply(test, _float_images(test)) if test is not None else None)

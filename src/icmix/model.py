@@ -103,7 +103,12 @@ def init_model(input_dim: int, hidden_dims, num_classes: int, rng: RngState) -> 
 
 
 def forward(params: ModelParams, inputs: np.ndarray) -> ForwardCache:
-    """Run the network, keeping every intermediate for the backward pass."""
+    """Run the network, keeping every intermediate for the backward pass.
+
+    Raw uint8 pixels are refused: ``data.standardize`` turns them into features.
+    """
+    if np.asarray(inputs).dtype == np.uint8:
+        raise ValueError("inputs are raw uint8 pixels; standardize them first")
     x = matrix(inputs, name="inputs")
     if x.shape[1] != params.input_dim:
         raise ValueError(f"input width {x.shape[1]} != model input width {params.input_dim}")
@@ -125,13 +130,15 @@ def backward(params: ModelParams, cache: ForwardCache, grad_logits: np.ndarray) 
         raise ValueError(f"grad_logits {grad_logits.shape} != logits {cache.logits.shape}")
     grads = params.empty_like()
     np.matmul(cache.features.T, grad_logits, out=grads.final_weights)
-    g = grad_logits @ params.final_weights.T
+    # upstream gradient and the weights it flows back through; the gradient
+    # with respect to the inputs is never formed, since nothing reads it
+    upstream, w = grad_logits, params.final_weights
     for k in range(len(params.hidden) - 1, -1, -1):
-        dz = g * (cache.pre_activations[k] > 0.0)
+        dz = (upstream @ w.T) * (cache.pre_activations[k] > 0.0)
         prev = cache.activations[k - 1] if k > 0 else cache.inputs
         np.matmul(prev.T, dz, out=grads.hidden[k].w)
         dz.sum(axis=0, out=grads.hidden[k].b)
-        g = dz @ params.hidden[k].w.T
+        upstream, w = dz, params.hidden[k].w
     return grads
 
 

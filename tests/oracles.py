@@ -145,3 +145,71 @@ def sgd_step_per_tensor(tensors, grads, buffers, decays, lr, momentum):
         buf *= momentum
         buf += grad + decay * param
         param -= lr * buf
+
+
+def backward_per_layer(params, cache, grad_logits):
+    """Parameter gradients by the layer-by-layer chain rule, in checkpoint order.
+
+    The chain also forms the gradient with respect to the inputs, as the
+    backward pass once did, so it pins that skipping that product changes no
+    parameter gradient. Returns [hidden0.w, hidden0.b, ..., final_weights].
+    """
+    g = grad_logits @ params.final_weights.T
+    grads = [cache.features.T @ grad_logits]
+    for k in range(len(params.hidden) - 1, -1, -1):
+        dz = g * (cache.pre_activations[k] > 0.0)
+        prev = cache.activations[k - 1] if k > 0 else cache.inputs
+        grads[:0] = [prev.T @ dz, dz.sum(axis=0)]
+        g = dz @ params.hidden[k].w.T
+    return grads
+
+
+_CIFAR_FILES = {
+    "cifar10": (1, 10, [f"data_batch_{i}.bin" for i in range(1, 6)], ["test_batch.bin"]),
+    "cifar100": (2, 100, ["train.bin"], ["test.bin"]),
+}
+
+
+def float_dataset_pair(spec):
+    """``build_dataset_pair`` for a CIFAR spec, by the all-float64 data path.
+
+    Every record is read and turned into float64 / 255 before the package's
+    subsamplers choose rows; the channels are then standardized out of place
+    with training statistics. The row choice is the package's own; the pixel
+    arithmetic is not. The output is written in row blocks, which keeps peak
+    memory near two copies of the training split and changes no element.
+    """
+    from pathlib import Path
+
+    from icmix.data import Dataset, longtail_subsample, stratified_subsample
+    from icmix.harness import _STREAM_FRACTION, _STREAM_LONGTAIL
+    from icmix.numerics import RngState
+
+    label_bytes, num_classes, train_files, test_files = _CIFAR_FILES[spec.kind]
+
+    def read(names, split):
+        raw = np.concatenate([np.fromfile(Path(spec.path) / n, dtype=np.uint8) for n in names])
+        records = raw.reshape(-1, label_bytes + 3072)
+        return Dataset(records[:, label_bytes:].astype(np.float64) / 255.0,
+                       records[:, label_bytes - 1], num_classes, split, channels=3)
+
+    train = read(train_files, "train")
+    root = RngState(spec.seed)
+    if spec.fraction < 1.0:
+        train = stratified_subsample(train, spec.fraction, root.derive(_STREAM_FRACTION).seed)
+    if spec.imbalance_ratio < 1.0:
+        train = longtail_subsample(train, spec.imbalance_ratio, root.derive(_STREAM_LONGTAIL).seed)
+    grouped = train.images.reshape(train.size, 3, 1024)
+    mean = grouped.mean(axis=(0, 2))[None, :, None]
+    std = grouped.std(axis=(0, 2))[None, :, None]
+    del grouped
+
+    def apply(ds):
+        shaped = ds.images.reshape(ds.size, 3, 1024)
+        out = np.empty_like(shaped)
+        for start in range(0, ds.size, 4096):
+            out[start:start + 4096] = (shaped[start:start + 4096] - mean) / std
+        return Dataset(out.reshape(ds.size, 3072), ds.labels, num_classes, ds.split, channels=3)
+
+    train = apply(train)
+    return train, apply(read(test_files, "test"))

@@ -1,9 +1,11 @@
 import json
+import struct
 import subprocess
 import sys
 
 import pytest
 
+from icmix import container
 from icmix.cli import main
 
 
@@ -98,6 +100,16 @@ def test_eval_class_width_mismatch_is_validation_error(tmp_path, capsys):
 def test_missing_checkpoint_is_io_error(tmp_path):
     spec = json.dumps({"kind": "blobs", "seed": 0})
     assert main(["eval", "--checkpoint", str(tmp_path / "none.bin"), "--dataset", spec]) == 3
+
+
+def test_checkpoint_with_huge_dims_is_validation_error(tmp_path, capsys):
+    # dims 2**32 x 2**32 and no payload: an int64 size product wraps to 0
+    path = tmp_path / "huge.bin"
+    path.write_bytes(container.MAGIC + struct.pack("<IIQQI", container.VERSION, container.KIND_CHECKPOINT, 0, 0, 1)
+                     + struct.pack("<I2Q", 2, 2**32, 2**32))
+    spec = json.dumps({"kind": "blobs", "seed": 0})
+    assert main(["eval", "--checkpoint", str(path), "--dataset", spec]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: expected ")
 
 
 def test_analyze_bad_step_is_validation_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,16 @@ from icmix.data import (
     Dataset,
     DatasetFileError,
     load_cifar,
-    load_dataset,
     longtail_subsample,
-    save_dataset,
     standardize,
     stratified_subsample,
     synth_blobs,
 )
-from icmix.numerics import round_half_up
+from icmix.harness import build_dataset_pair, dataset_spec_from_dict, evaluate
+from icmix.model import init_model
+from icmix.numerics import RngState, round_half_up
+
+from oracles import float_dataset_pair
 
 
 def _balanced_blob_train(per_class=500, num_classes=10, seed=3):
@@ -37,24 +41,28 @@ class TestLoadCifar:
         assert train.num_classes == 100
         assert train.labels.max() < 100
 
-    def test_pixels_scaled_to_unit_interval(self, cifar10_dir):
+    def test_pixels_are_the_raw_bytes(self, cifar10_dir):
+        raw = np.fromfile(cifar10_dir / "test_batch.bin", dtype=np.uint8).reshape(10000, 3073)
         ds = load_cifar(cifar10_dir, "cifar10", "test")
-        assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
+        assert ds.images.dtype == np.uint8
+        assert np.array_equal(ds.images, raw[:, 1:])
 
     def test_byte_offset_oracle(self, cifar10_dir):
         # first pixel of record k sits at k*3073 + 1 in the raw file
         raw = (cifar10_dir / "data_batch_1.bin").read_bytes()
         ds = load_cifar(cifar10_dir, "cifar10", "train")
+        assert ds.images.dtype == np.uint8
         for k in (0, 1, 9999):
             assert ds.labels[k] == raw[k * 3073]
-            assert ds.images[k, 0] == raw[k * 3073 + 1] / 255.0
-            assert ds.images[k, 3071] == raw[k * 3073 + 3072] / 255.0
+            assert ds.images[k, 0] == raw[k * 3073 + 1]
+            assert ds.images[k, 3071] == raw[k * 3073 + 3072]
 
     def test_cifar100_fine_label_is_second_byte(self, cifar100_dir):
         raw = (cifar100_dir / "test.bin").read_bytes()
         ds = load_cifar(cifar100_dir, "cifar100", "test")
+        assert ds.images.dtype == np.uint8
         assert ds.labels[0] == raw[1]
-        assert ds.images[0, 0] == raw[2] / 255.0
+        assert ds.images[0, 0] == raw[2]
 
     def test_truncated_file_rejected_with_byte_counts(self, tmp_path, cifar10_dir):
         broken = tmp_path / "broken"
@@ -247,26 +255,6 @@ class TestStandardize:
             standardize(ds, None)
 
 
-class TestDatasetContainer:
-    def test_roundtrip(self, tmp_path):
-        train, _ = synth_blobs(3, 10, 5, 0.4, seed=11)
-        path = tmp_path / "blobs.bin"
-        save_dataset(train, path)
-        loaded = load_dataset(path)
-        assert np.array_equal(loaded.images, train.images)
-        assert np.array_equal(loaded.labels, train.labels)
-        assert loaded.num_classes == 3 and loaded.split == "train"
-        assert loaded.channels == 1
-
-    def test_checkpoint_kind_rejected(self, tmp_path):
-        from icmix.model import ModelParams, save_checkpoint
-
-        path = tmp_path / "model.bin"
-        save_checkpoint(ModelParams([], np.zeros((2, 2))), path)
-        with pytest.raises(ValueError, match="not a dataset"):
-            load_dataset(path)
-
-
 class TestDatasetValidation:
     def test_labels_out_of_range(self):
         with pytest.raises(ValueError, match="labels"):
@@ -279,3 +267,43 @@ class TestDatasetValidation:
     def test_bad_split(self):
         with pytest.raises(ValueError, match="split"):
             Dataset(np.zeros((1, 2)), np.array([0]), 1, "validation")
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.float32])
+    def test_images_must_be_uint8_or_float64(self, dtype):
+        with pytest.raises(ValueError, match="uint8 or float64"):
+            Dataset(np.zeros((2, 3), dtype=dtype), np.array([0, 1]), 2, "train")
+
+    def test_raw_pixels_cannot_be_evaluated(self, cifar10_dir):
+        params = init_model(3072, [], 10, RngState(1))
+        with pytest.raises(ValueError, match="standardize them first"):
+            evaluate(params, load_cifar(cifar10_dir, "cifar10", "test"))
+
+    def test_uint8_images_kept_without_copy(self):
+        records = np.arange(12, dtype=np.uint8).reshape(3, 4)
+        ds = Dataset(records[:, 1:], np.array([0, 1, 0]), 2, "train")
+        assert ds.images.dtype == np.uint8 and np.shares_memory(ds.images, records)
+
+
+def _bits(ds):
+    """Digest of the exact float64 bit patterns, plus labels and layout."""
+    digest = hashlib.sha256(np.ascontiguousarray(ds.images).view(np.uint64)).hexdigest()
+    return digest, ds.images.shape, ds.labels.tolist(), ds.num_classes, ds.split, ds.channels
+
+
+class TestBuildMatchesFloatPath:
+    """The uint8 data path builds the same float64 splits, bit for bit, as
+    converting every record to float64 before subsampling did."""
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("cifar10", {"fraction": 0.1}),
+        ("cifar10", {"fraction": 1.0}),
+        ("cifar10", {"imbalance_ratio": 0.1}),
+        ("cifar100", {"fraction": 0.5}),
+    ])
+    def test_bit_identical(self, kind, fields, cifar10_dir, cifar100_dir):
+        path = cifar10_dir if kind == "cifar10" else cifar100_dir
+        spec = dataset_spec_from_dict({"kind": kind, "path": str(path), "seed": 17, **fields})
+        # one pair at a time: the full split is 1.2 GB of float64 per copy
+        got = [_bits(ds) for ds in build_dataset_pair(spec)]
+        want = [_bits(ds) for ds in float_dataset_pair(spec)]
+        assert got == want

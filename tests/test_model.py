@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from icmix.model import (
 )
 from icmix.numerics import RngState
 
-from oracles import fd_grad, max_rel_err, naive_forward_logits, sgd_step_per_tensor
+from oracles import backward_per_layer, fd_grad, max_rel_err, naive_forward_logits, sgd_step_per_tensor
 
 
 def _random_net(seed, input_dim, hidden_dims, num_classes):
@@ -78,6 +81,15 @@ class TestBackward:
         cache = forward(params, np.zeros((2, 4)))
         with pytest.raises(ValueError, match="grad_logits"):
             backward(params, cache, np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("hidden_dims", [[], [16], [16, 8], [64, 32, 16]])
+    def test_bit_equal_per_layer_oracle(self, hidden_dims):
+        rng = RngState(12)
+        params = _random_net(13, 24, hidden_dims, 5)
+        cache = forward(params, rng.normals(40 * 24).reshape(40, 24))
+        grad_logits = rng.normals(40 * 5).reshape(40, 5)
+        got = [t for _, t in _param_tensors(backward(params, cache, grad_logits))]
+        assert np.array_equal(_bits(got), _bits(backward_per_layer(params, cache, grad_logits)))
 
 
 def _param_tensors(params):
@@ -264,6 +276,17 @@ class TestCheckpoint:
         path.write_bytes(b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("dims", [(2**32, 2**32), (2**63,), (2**63, 2**63, 3)])
+    def test_huge_dims_rejected_by_length_check(self, tmp_path, dims):
+        # int64 products of these dims wrap (to 0 for the first), which once let
+        # a header with no payload through to a reshape error
+        path = tmp_path / "huge.bin"
+        path.write_bytes(container.MAGIC + struct.pack("<IIQQI", container.VERSION, container.KIND_CHECKPOINT, 0, 0, 1)
+                         + struct.pack(f"<I{len(dims)}Q", len(dims), *dims))
+        found = 40 + 8 * len(dims)
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: expected \d+ bytes, found {found}"):
+            container.read_container(path)
 
 
 def test_linear_model_separable_blobs_reach_perfect_train_accuracy():
