@@ -57,6 +57,6 @@ from .model import (
     save_checkpoint,
     sgd_step,
 )
-from .numerics import RngState, log_sum_exp, log_sum_exp_rows, matrix, softmax_rows
+from .numerics import RngState, matrix, softmax_log_z
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from .data import Dataset, load_cifar, longtail_subsample, standardize, stratifi
 from .losses import MixedScoreMatrix, grad_w_cc, grad_w_ci, grad_w_mixup, loss_cc, loss_ci, loss_ic_joint, loss_mixup_ce, mixed_scores
 from .mixing import AXES, METHODS, MIN_ALPHA, REGMIXUP_METHODS, ClassHistogram, MixConfig, mix_batch, one_hot, regmixup_compose
 from .model import ModelParams, OptimizerState, SgdConfig, backward, forward, init_model, save_checkpoint, sgd_step
-from .numerics import RngState, log_sum_exp_rows, round_half_up
+from .numerics import RngState, round_half_up, softmax_log_z
 
 DATASET_KINDS = ("cifar10", "cifar100", "blobs")
 
@@ -288,8 +288,8 @@ def evaluate(params: ModelParams, ds: Dataset) -> EvalMetrics:
     cache = forward(params, ds.images)
     predictions = np.argmax(cache.logits, axis=1)
     accuracy = float(np.mean(predictions == ds.labels))
-    log_p = cache.logits - log_sum_exp_rows(cache.logits)[:, None]
-    loss = float(-np.mean(log_p[np.arange(ds.size), ds.labels]))
+    _, log_z = softmax_log_z(cache.logits)
+    loss = float(-np.mean(cache.logits[np.arange(ds.size), ds.labels] - log_z))
     return EvalMetrics(accuracy, loss, ds.size)
 
 
@@ -473,6 +473,8 @@ def analyze_interpolation(params: ModelParams, ds: Dataset, step: float, seed: i
         )
     if not 0 < step <= 1:
         raise ValueError("step must be in (0, 1]")
+    if not _SEED.ok(seed):
+        raise ValueError(f"seed must be {_SEED.requirement}")
     n_steps = round_half_up(1.0 / step)
     if abs(n_steps * step - 1.0) > 1e-9:
         raise ValueError(f"step {step} does not divide 1")
@@ -570,8 +572,10 @@ def gradcheck(instances: int = 100, tol: float = 1e-5, seed: int = 20240, shapes
     final-layer gradients against both the chain rule (they must equal -B
     times the mean-loss gradient) and finite differences over W.
     """
-    if not tol > 0:
-        raise ValueError("tolerance must be > 0")
+    if not _COUNT.ok(instances):
+        raise ValueError(f"instances must be {_COUNT.requirement}")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be a finite number > 0")
     loss_fns = {
         "mixup_ce": lambda s, y: loss_mixup_ce(s, y),
         "cc": lambda s, y: loss_cc(MixedScoreMatrix.from_logits(s, y)),

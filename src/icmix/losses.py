@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mixing import AXES
-from .numerics import log_sum_exp_rows, softmax_rows
+from .numerics import softmax_log_z
 
 
 @dataclass
@@ -94,16 +94,10 @@ def _diagonal_ce(ms: MixedScoreMatrix, axis: int, name: str) -> LossResult:
 
     Sums run along ``axis`` of s_tilde itself: a contiguous transpose would sum in another order.
     """
-    st = ms.s_tilde
-    mx = np.max(st, axis=axis, keepdims=True)
-    z = st - mx
-    np.exp(z, out=z)
-    sums = np.sum(z, axis=axis, keepdims=True)
-    log_z = mx.ravel() + np.log(sums.ravel())
-    z /= sums
+    z, log_z = softmax_log_z(ms.s_tilde, axis)
     z.flat[:: len(z) + 1] -= 1.0  # softmax minus the identity
     z /= len(z)
-    return LossResult(float(np.mean(log_z - np.diag(st))), z @ ms.mix_weights,
+    return LossResult(float(np.mean(log_z - np.diag(ms.s_tilde))), z @ ms.mix_weights,
                       {"axis": name, f"log_z_{name}": log_z})
 
 
@@ -153,11 +147,11 @@ def loss_mixup_ce(s: np.ndarray, y_tilde: np.ndarray) -> LossResult:
     if s.shape != y_tilde.shape:
         raise ValueError(f"logits {s.shape} and targets {y_tilde.shape} must match")
     b = s.shape[0]
-    log_z = log_sum_exp_rows(s)
-    log_p = s - log_z[:, None]
-    value = float(-np.sum(y_tilde * log_p) / b)
-    grad_s = (softmax_rows(s) - y_tilde) / b
-    return LossResult(value, grad_s, {"log_z": log_z})
+    p, log_z = softmax_log_z(s)
+    value = float(-np.sum(y_tilde * (s - log_z[:, None])) / b)
+    p -= y_tilde
+    p /= b
+    return LossResult(value, p, {"log_z": log_z})
 
 
 def grad_w_mixup(r: np.ndarray, s: np.ndarray, y_tilde: np.ndarray) -> np.ndarray:
@@ -168,7 +162,8 @@ def grad_w_mixup(r: np.ndarray, s: np.ndarray, y_tilde: np.ndarray) -> np.ndarra
     convention; equals -B times the mean-loss gradient w.r.t. W.
     """
     r = np.asarray(r, dtype=np.float64)
-    return r.T @ (np.asarray(y_tilde, dtype=np.float64) - softmax_rows(np.asarray(s, dtype=np.float64)))
+    p, _ = softmax_log_z(s)
+    return r.T @ (np.asarray(y_tilde, dtype=np.float64) - p)
 
 
 def grad_w_cc(r: np.ndarray, ms: MixedScoreMatrix) -> np.ndarray:
@@ -179,7 +174,7 @@ def grad_w_cc(r: np.ndarray, ms: MixedScoreMatrix) -> np.ndarray:
     estimated over the batch's interpolated classes. Ascent convention.
     """
     r = np.asarray(r, dtype=np.float64)
-    p = softmax_rows(ms.s_tilde)
+    p, _ = softmax_log_z(ms.s_tilde)
     return r.T @ (ms.mix_weights - p @ ms.mix_weights)
 
 
@@ -192,6 +187,6 @@ def grad_w_ci(r: np.ndarray, ms: MixedScoreMatrix) -> np.ndarray:
     convention.
     """
     r = np.asarray(r, dtype=np.float64)
-    q = softmax_rows(ms.s_tilde.T).T  # q[j, i] = p_ci(class i | sample j)
+    q, _ = softmax_log_z(ms.s_tilde, axis=0)  # q[j, i] = p_ci(class i | sample j)
     centered = r.T - r.T @ q  # column i: r_i - expected feature under class i
     return centered @ ms.mix_weights

@@ -81,8 +81,7 @@ class ForwardCache:
     """Intermediates of one forward pass, enough to run backward."""
 
     inputs: np.ndarray
-    pre_activations: list[np.ndarray]
-    activations: list[np.ndarray]
+    activations: list[np.ndarray]  # relu outputs: relu(z) > 0 exactly where z > 0, so they give backward its mask
     features: np.ndarray  # penultimate output, B x D
     logits: np.ndarray    # B x C
 
@@ -112,15 +111,15 @@ def forward(params: ModelParams, inputs: np.ndarray) -> ForwardCache:
     x = matrix(inputs, name="inputs")
     if x.shape[1] != params.input_dim:
         raise ValueError(f"input width {x.shape[1]} != model input width {params.input_dim}")
-    pre, act = [], []
+    act = []
     h = x
     for layer in params.hidden:
-        z = h @ layer.w + layer.b
-        h = np.maximum(z, 0.0)
-        pre.append(z)
+        h = h @ layer.w
+        h += layer.b
+        np.maximum(h, 0.0, out=h)
         act.append(h)
     logits = h @ params.final_weights
-    return ForwardCache(x, pre, act, h, logits)
+    return ForwardCache(x, act, h, logits)
 
 
 def backward(params: ModelParams, cache: ForwardCache, grad_logits: np.ndarray) -> ModelParams:
@@ -134,7 +133,7 @@ def backward(params: ModelParams, cache: ForwardCache, grad_logits: np.ndarray) 
     # with respect to the inputs is never formed, since nothing reads it
     upstream, w = grad_logits, params.final_weights
     for k in range(len(params.hidden) - 1, -1, -1):
-        dz = (upstream @ w.T) * (cache.pre_activations[k] > 0.0)
+        dz = (upstream @ w.T) * (cache.activations[k] > 0.0)
         prev = cache.activations[k - 1] if k > 0 else cache.inputs
         np.matmul(prev.T, dz, out=grads.hidden[k].w)
         dz.sum(axis=0, out=grads.hidden[k].b)
@@ -207,4 +206,7 @@ def load_checkpoint(path) -> ModelParams:
     if len(arrays) != 2 * n_hidden + 1:
         raise ValueError(f"{path}: expected {2 * n_hidden + 1} arrays, found {len(arrays)}")
     hidden = [DenseLayer(arrays[2 * i], arrays[2 * i + 1]) for i in range(n_hidden)]
-    return ModelParams(hidden, arrays[2 * n_hidden])
+    params = ModelParams(hidden, arrays[2 * n_hidden])
+    if not np.all(np.isfinite(params.flat)):
+        raise ValueError(f"{path}: checkpoint holds non-finite parameters")
+    return params

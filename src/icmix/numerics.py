@@ -37,38 +37,24 @@ def matrix(data, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def log_sum_exp(values) -> float:
-    """log(sum(exp(v))) computed by subtracting the max before exponentiating.
+def softmax_log_z(m: np.ndarray, axis: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax along ``axis`` of a 2-D array and the log normalizer of each slice.
 
-    Exact for single-element input; raises on an empty vector.
+    Max-shifted, with one exponential: ``p`` is a new array of ``m``'s shape,
+    and ``log_z = max + log(sum(exp(m - max)))`` along ``axis``, exact for a
+    single element. Adding a constant to a slice leaves its softmax unchanged
+    and shifts its ``log_z`` by the constant. Raises on an empty reduction.
     """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise ValueError("empty reduction")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("log_sum_exp input contains non-finite entries")
-    m = float(np.max(v))
-    if v.size == 1:
-        return m
-    return m + math.log(float(np.sum(np.exp(v - m))))
-
-
-def log_sum_exp_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise log(sum(exp(.))), max-shifted for stability."""
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[1] < 1:
-        raise ValueError("log_sum_exp_rows needs a 2-D input with >= 1 column")
-    mx = np.max(m, axis=1, keepdims=True)
-    return (mx[:, 0] + np.log(np.sum(np.exp(m - mx), axis=1)))
-
-
-def softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise softmax; invariant to adding a constant to a whole row."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[1] < 1:
-        raise ValueError("softmax_rows needs a 2-D input with >= 1 column")
-    z = np.exp(m - np.max(m, axis=1, keepdims=True))
-    return z / np.sum(z, axis=1, keepdims=True)
+    if m.ndim != 2 or m.shape[axis] < 1:
+        raise ValueError(f"empty reduction or not 2-D: shape {m.shape}, axis {axis}")
+    mx = np.max(m, axis=axis, keepdims=True)
+    p = m - mx
+    np.exp(p, out=p)
+    sums = np.sum(p, axis=axis, keepdims=True)
+    log_z = mx.ravel() + np.log(sums.ravel())
+    p /= sums
+    return p, log_z
 
 
 def round_half_up(x: float) -> int:

@@ -114,6 +114,23 @@ def dense_contrastive_grad_s(s_tilde, mix_weights, axis):
     return ((p - np.eye(b)) / b) @ mix_weights
 
 
+def two_pass_mixup_ce(s, y_tilde):
+    """Soft-label mixup CE by separate log-sum-exp and softmax passes.
+
+    The formula the one-exponential loss replaced: two max-shifted
+    exponentials of the logits, one for the log normalizer and one for the
+    softmax. Returns (value, grad_s, log_z) from plain numpy operations, so
+    the result pins the package's arithmetic bit for bit.
+    """
+    b = s.shape[0]
+    mx = np.max(s, axis=1, keepdims=True)
+    log_z = mx[:, 0] + np.log(np.sum(np.exp(s - mx), axis=1))
+    value = float(-np.sum(y_tilde * (s - log_z[:, None])) / b)
+    z = np.exp(s - np.max(s, axis=1, keepdims=True))
+    grad_s = (z / np.sum(z, axis=1, keepdims=True) - y_tilde) / b
+    return value, grad_s, log_z
+
+
 def naive_forward_logits(params, x):
     """Per-neuron scalar recomputation of the network forward pass."""
     h = np.asarray(x, dtype=np.float64)
@@ -157,7 +174,7 @@ def backward_per_layer(params, cache, grad_logits):
     g = grad_logits @ params.final_weights.T
     grads = [cache.features.T @ grad_logits]
     for k in range(len(params.hidden) - 1, -1, -1):
-        dz = g * (cache.pre_activations[k] > 0.0)
+        dz = g * (cache.activations[k] > 0.0)
         prev = cache.activations[k - 1] if k > 0 else cache.inputs
         grads[:0] = [prev.T @ dz, dz.sum(axis=0)]
         g = dz @ params.hidden[k].w.T

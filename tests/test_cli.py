@@ -7,6 +7,8 @@ import pytest
 
 from icmix import container
 from icmix.cli import main
+from icmix.model import init_model, save_checkpoint
+from icmix.numerics import RngState
 
 
 def _write_config(tmp_path, method="none", epochs=5, seed=3):
@@ -145,6 +147,47 @@ def test_gradcheck_pass_and_fail_paths(capsys):
     assert "gradcheck: PASS" in capsys.readouterr().out
     assert main(["gradcheck", "--seeds", "4", "--tol", "1e-15"]) == 2
     assert "gradcheck: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [["--seeds", "0"], ["--seeds", "-3"], ["--tol", "inf"], ["--tol", "nan"]])
+def test_gradcheck_that_checks_nothing_is_validation_error(flags, capsys):
+    # each of these used to print "gradcheck: PASS" and exit 0
+    assert main(["gradcheck", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "PASS" not in captured.out
+
+
+def _blobs_checkpoint(tmp_path):
+    """A checkpoint shaped for the default blobs dataset (dim 10, 3 classes), and that dataset's spec."""
+    params = init_model(10, [4], 3, RngState(0))
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(params, path)
+    return params, path, json.dumps({"kind": "blobs", "seed": 0})
+
+
+@pytest.mark.parametrize("seed", [str(2**64), "-1"])
+def test_analyze_seed_outside_64_bits_is_validation_error(tmp_path, seed, capsys):
+    # 2**64 used to wrap to seed 0 and write seed 0's curve
+    _, path, spec = _blobs_checkpoint(tmp_path)
+    out = tmp_path / "c.csv"
+    assert main(["analyze", "--checkpoint", str(path), "--dataset", spec,
+                 "--seed", seed, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: seed must be an integer in [0, 2**64)")
+    assert not out.exists()
+
+
+def test_non_finite_checkpoint_is_validation_error(tmp_path, capsys):
+    # eval used to print "loss": NaN, which is not JSON, and analyze wrote nan rows
+    params, path, spec = _blobs_checkpoint(tmp_path)
+    params.final_weights[2, 1] = float("nan")
+    save_checkpoint(params, path)
+    out = tmp_path / "c.csv"
+    for argv in (["eval"], ["analyze", "--out", str(out)]):
+        assert main([*argv, "--checkpoint", str(path), "--dataset", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: checkpoint holds non-finite parameters")
+        assert captured.out == ""
+    assert not out.exists()
 
 
 def test_unknown_subcommand_maps_to_validation_exit(capsys):

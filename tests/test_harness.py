@@ -481,6 +481,14 @@ class TestAnalyze:
         with pytest.raises(ValueError, match="class 1"):
             analyze_interpolation(params, ds, 0.5, seed=0)
 
+    @pytest.mark.parametrize("seed", [2**64, -1, 1.5])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # RngState keeps a seed modulo 2**64, so 2**64 used to run as seed 0
+        _, test_ds = synth_blobs(3, 2, 4, 0.2, seed=45)
+        params = init_model(4, [], 3, RngState(46))
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            analyze_interpolation(params, test_ds, 0.5, seed=seed)
+
     def test_deterministic_given_seed(self):
         _, test_ds = synth_blobs(4, 5, 4, 0.3, seed=48)
         params = init_model(4, [5], 4, RngState(49))
@@ -514,8 +522,16 @@ class TestGradcheck:
         assert report.max_abs_err_w_chain["ci"] == 0.0
 
     def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValueError, match="tolerance"):
-            gradcheck(instances=1, tol=0.0)
+        # an infinite tolerance passes any error
+        for tol in (0.0, -1e-5, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="tolerance must be a finite number > 0"):
+                gradcheck(instances=1, tol=tol)
+
+    @pytest.mark.parametrize("instances", [0, -3])
+    def test_needs_at_least_one_instance(self, instances):
+        # no instance checks nothing, and used to report a pass
+        with pytest.raises(ValueError, match="instances must be an integer >= 1"):
+            gradcheck(instances=instances)
 
     def test_report_lines_mention_every_loss(self):
         report = gradcheck(instances=2, tol=1e-5)

@@ -16,7 +16,7 @@ from icmix.losses import (
     mixed_scores,
 )
 from icmix.mixing import one_hot
-from icmix.numerics import RngState, softmax_rows
+from icmix.numerics import RngState, softmax_log_z
 
 from oracles import (
     dense_contrastive_grad_s,
@@ -26,6 +26,7 @@ from oracles import (
     naive_cross_entropy,
     naive_hard_cross_entropy,
     naive_mixed_scores,
+    two_pass_mixup_ce,
 )
 
 
@@ -246,6 +247,18 @@ class TestLossMixupCe:
         grad = loss_mixup_ce(r @ w, y).grad_s
         assert np.max(np.abs(grad.sum(axis=1))) < 1e-12
 
+    @pytest.mark.parametrize("b", [1, 32, 300])
+    def test_bitwise_equal_to_two_pass_formula(self, b):
+        # one exponential gives the same bits as separate log-sum-exp and softmax passes
+        r, w, y = _instance(46 + b, b=b, c=10, d=8)
+        for scale in (0.1, 1.0, 40.0):
+            s = scale * (r @ w)
+            res = loss_mixup_ce(s, y)
+            value, grad_s, log_z = two_pass_mixup_ce(s, y)
+            assert np.float64(res.value).view(np.uint64) == np.float64(value).view(np.uint64)
+            assert np.array_equal(res.grad_s.view(np.uint64), grad_s.view(np.uint64))
+            assert np.array_equal(res.diagnostics["log_z"].view(np.uint64), log_z.view(np.uint64))
+
 
 class TestGradWMixup:
     def test_fixed_point_at_perfect_predictions(self):
@@ -272,7 +285,7 @@ class TestGradWMixup:
         r, w, y = _instance(21, b=5, c=3, d=4)
         s = r @ w
         grad = grad_w_mixup(r, s, y)
-        p = softmax_rows(s)
+        p, _ = softmax_log_z(s)
         assert np.array_equal(grad, r.T @ (y - p))
         # independent scalar-loop accumulation
         looped = np.zeros_like(grad)

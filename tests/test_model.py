@@ -271,6 +271,15 @@ class TestCheckpoint:
         container.write_container(tmp_path / "ref.bin", container.KIND_CHECKPOINT, (len(hidden_dims), 0), tensors)
         assert (tmp_path / "model.bin").read_bytes() == (tmp_path / "ref.bin").read_bytes()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, bad):
+        params = _random_net(104, 6, [8], 5)
+        params.hidden[0].b[3] = bad
+        path = tmp_path / "model.bin"
+        save_checkpoint(params, path)
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: checkpoint holds non-finite parameters"):
+            load_checkpoint(path)
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"\x00" * 64)

@@ -6,73 +6,89 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from icmix.numerics import RngState, log_sum_exp, log_sum_exp_rows, matrix, softmax_rows
+from icmix.numerics import RngState, matrix, softmax_log_z
 
 from oracles import naive_log_sum_exp, naive_softmax_rows
 
 
+def _log_z(values) -> float:
+    """log(sum(exp(v))) of one vector, through the softmax kernel."""
+    return float(softmax_log_z(np.asarray(values, dtype=np.float64)[None, :])[1][0])
+
+
 class TestLogSumExp:
     def test_uniform_entries(self):
-        assert log_sum_exp([0.0, 0.0]) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert _log_z([0.0, 0.0]) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_single_element_exact(self):
-        assert log_sum_exp([5.0]) == 5.0
-        assert log_sum_exp([-1234.5678]) == -1234.5678
+        assert _log_z([5.0]) == 5.0
+        assert _log_z([-1234.5678]) == -1234.5678
+        p, log_z = softmax_log_z(np.array([[3.5], [-1e300]]))
+        assert p.tolist() == [[1.0], [1.0]] and log_z.tolist() == [3.5, -1e300]
 
     def test_large_entries_no_overflow(self):
-        value = log_sum_exp([1000.0, 1000.5])
+        value = _log_z([1000.0, 1000.5])
         assert math.isfinite(value)
         # compare against the max-shifted direct computation
         assert value == pytest.approx(naive_log_sum_exp([1000.0, 1000.5], shift=1000.5), abs=1e-12)
         assert value == pytest.approx(1000.974077, abs=1e-6)
 
     def test_empty_reduction(self):
-        with pytest.raises(ValueError, match="empty reduction"):
-            log_sum_exp([])
+        for m, axis in ((np.empty((1, 0)), 1), (np.empty((0, 3)), 0), (np.empty(3), 1)):
+            with pytest.raises(ValueError, match="empty reduction"):
+                softmax_log_z(m, axis)
 
     def test_shift_invariance(self):
         rng = RngState(11)
         for _ in range(50):
             v = rng.normals(6) * 3.0
             c = rng.normal() * 100.0
-            assert log_sum_exp(v + c) == pytest.approx(log_sum_exp(v) + c, abs=1e-12)
+            assert _log_z(v + c) == pytest.approx(_log_z(v) + c, abs=1e-12)
 
     def test_rows_variant_matches_vector(self):
+        # each slice along either axis agrees with the scalar oracle
         rng = RngState(12)
         m = rng.normals(12).reshape(3, 4)
-        rows = log_sum_exp_rows(m)
+        _, rows = softmax_log_z(m)
         for i in range(3):
-            assert rows[i] == pytest.approx(log_sum_exp(m[i]), abs=1e-15)
+            assert rows[i] == pytest.approx(naive_log_sum_exp(m[i], shift=float(np.max(m[i]))), abs=1e-15)
+        _, cols = softmax_log_z(m, axis=0)
+        for j in range(4):
+            assert cols[j] == pytest.approx(naive_log_sum_exp(m[:, j], shift=float(np.max(m[:, j]))), abs=1e-15)
 
 
 class TestSoftmaxRows:
     def test_uniform_row(self):
-        out = softmax_rows(np.zeros((1, 3)))
+        out, _ = softmax_log_z(np.zeros((1, 3)))
         assert np.allclose(out, 1.0 / 3.0, atol=1e-15)
 
     def test_known_ratio(self):
-        out = softmax_rows(np.array([[0.0, math.log(3.0)]]))
+        out, _ = softmax_log_z(np.array([[0.0, math.log(3.0)]]))
         assert out[0, 0] == pytest.approx(0.25, abs=1e-15)
         assert out[0, 1] == pytest.approx(0.75, abs=1e-15)
 
     def test_matches_naive_oracle(self):
         rng = RngState(13)
         m = rng.normals(20).reshape(4, 5) * 2.0
-        assert np.max(np.abs(softmax_rows(m) - naive_softmax_rows(m))) < 1e-12
+        assert np.max(np.abs(softmax_log_z(m)[0] - naive_softmax_rows(m))) < 1e-12
+        # down columns it is the row softmax of the transpose
+        assert np.max(np.abs(softmax_log_z(m, axis=0)[0] - naive_softmax_rows(m.T).T)) < 1e-12
 
     def test_rows_sum_to_one_large_magnitudes(self):
         rng = RngState(14)
         for scale in (1.0, 100.0, 1000.0):
             m = rng.normals(40).reshape(8, 5) * scale
-            sums = softmax_rows(m).sum(axis=1)
-            assert np.max(np.abs(sums - 1.0)) < 1e-12
-            assert np.all(softmax_rows(m) >= 0.0)
+            for axis in (0, 1):
+                p, log_z = softmax_log_z(m, axis)
+                assert np.max(np.abs(p.sum(axis=axis) - 1.0)) < 1e-12
+                assert np.all(p >= 0.0) and np.all(np.isfinite(log_z))
 
     def test_row_shift_invariance(self):
         rng = RngState(15)
         m = rng.normals(15).reshape(3, 5)
         shifted = m + 17.25
-        assert np.max(np.abs(softmax_rows(m) - softmax_rows(shifted))) < 1e-12
+        assert np.max(np.abs(softmax_log_z(m)[0] - softmax_log_z(shifted)[0])) < 1e-12
+        assert np.max(np.abs(softmax_log_z(shifted)[1] - softmax_log_z(m)[1] - 17.25)) < 1e-12
 
 
 class TestMatrix:
