@@ -12,6 +12,7 @@ import json
 import sys
 from pathlib import Path
 
+from .container import write_atomic
 from .data import DatasetFileError
 from .harness import (
     ConfigError,
@@ -66,7 +67,7 @@ def _cmd_analyze(args) -> int:
     spec = _dataset_spec(args.dataset)
     _, test = build_dataset_pair(spec)
     table = analyze_interpolation(params, test, args.step, seed=args.seed)
-    Path(args.out).write_text(table.to_csv())
+    write_atomic(args.out, table.to_csv().encode())
     print(f"wrote {len(table.rows)} curve rows to {args.out}")
     return EXIT_OK
 

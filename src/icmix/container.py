@@ -1,6 +1,7 @@
 """Flat binary container for float64 arrays.
 
-Used for model checkpoints. Layout, all integers little-endian:
+Used for model checkpoints; :func:`write_atomic` writes every artifact
+file of a run. Layout, all integers little-endian:
 
     offset  size            field
     0       8               magic  b"ICMXBIN\\x00"
@@ -19,6 +20,7 @@ rejected. Array sizes are exact integer products, so no dims overflow the check.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -38,7 +40,25 @@ def write_container(path, kind: int, meta: tuple[int, int], arrays: list[np.ndar
         parts.append(struct.pack("<I", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         payload.append(arr.astype("<f8", copy=False).tobytes())
-    Path(path).write_bytes(b"".join(parts) + b"".join(payload))
+    write_atomic(path, b"".join(parts) + b"".join(payload))
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` all at once or not at all.
+
+    The bytes go to a temporary file in the same directory, which is then
+    renamed over ``path``; if writing fails, the temporary file is removed
+    and ``path`` is left as it was. The file is not fsynced, so this guards
+    against a failed write or a killed process, not against power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_container(path) -> tuple[int, tuple[int, int], list[np.ndarray]]:

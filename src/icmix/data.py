@@ -155,27 +155,29 @@ def stratified_subsample(ds: Dataset, fraction: float, seed: int) -> Dataset:
 
 
 def longtail_subsample(ds: Dataset, ratio: float, seed: int) -> Dataset:
-    """Exponential imbalance: class c keeps round(n_max * ratio^(c / (C-1))).
+    """Exponential imbalance: class c keeps round(n_head * ratio^(c / (C-1))).
 
-    Requires a balanced input; counts decay monotonically from n_max down to
-    roughly ratio * n_max for the last class.
+    ``n_head`` is the smallest class count of the input, so every class can
+    supply its share; counts decay monotonically from n_head down to roughly
+    ratio * n_head for the last class. Each class is drawn uniformly without
+    replacement, by one permutation of its members.
     """
     if not 0.0 < ratio <= 1.0:
         raise ValueError("ratio must be in (0, 1]")
     counts = ds.class_counts()
-    n_max = int(counts[0])
-    if np.any(counts != n_max):
-        raise ValueError("long-tail subsampling requires a balanced input dataset")
+    n_head = int(counts.min())
+    if n_head < 1:
+        raise ValueError(f"class {int(counts.argmin())} has no samples")
     rng = RngState(seed)
     c_total = ds.num_classes
     keep: list[np.ndarray] = []
     for c in range(c_total):
         exponent = c / (c_total - 1) if c_total > 1 else 0.0
-        n_keep = round_half_up(n_max * ratio ** exponent)
+        n_keep = round_half_up(n_head * ratio ** exponent)
         if n_keep < 1:
             raise ValueError(f"class {c} would drop to 0 samples at ratio {ratio}")
         members = np.flatnonzero(ds.labels == c)
-        keep.append(members[rng.permutation(n_max)[:n_keep]])
+        keep.append(members[rng.permutation(members.size)[:n_keep]])
     idx = np.concatenate(keep)
     return replace(ds, images=ds.images[idx], labels=ds.labels[idx])
 
@@ -211,12 +213,13 @@ def synth_blobs(num_classes: int, per_class: int, dim: int, spread: float, seed:
         n = num_classes * per_class
         images = np.empty((n, dim), dtype=np.float64)
         labels = np.empty(n, dtype=np.int64)
-        row = 0
         for c in range(num_classes):
-            for _ in range(per_class):
-                images[row] = means[c] + spread * rng.normals(dim)
-                labels[row] = c
-                row += 1
+            block = images[c * per_class:(c + 1) * per_class]
+            # means[c] + spread * z, with z drawn for the whole class at once:
+            # the same draws, row by row, as one normals(dim) call per row
+            np.multiply(rng.normals(per_class * dim).reshape(per_class, dim), spread, out=block)
+            block += means[c]
+            labels[c * per_class:(c + 1) * per_class] = c
         return Dataset(images, labels, num_classes, split)
 
     return draw("train", root.derive(0)), draw("test", root.derive(1))

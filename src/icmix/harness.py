@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .container import write_atomic
 from .data import Dataset, load_cifar, longtail_subsample, standardize, stratified_subsample, synth_blobs
 from .losses import MixedScoreMatrix, grad_w_cc, grad_w_ci, grad_w_mixup, loss_cc, loss_ci, loss_ic_joint, loss_mixup_ce, mixed_scores
 from .mixing import AXES, METHODS, MIN_ALPHA, REGMIXUP_METHODS, ClassHistogram, MixConfig, mix_batch, one_hot, regmixup_compose
@@ -428,9 +429,9 @@ def train(config: TrainConfig, out_dir=None) -> RunReport:
     if out_dir is not None:
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
-        (out_path / "metrics.csv").write_text(report.metrics_csv())
+        write_atomic(out_path / "metrics.csv", report.metrics_csv().encode())
         save_checkpoint(params, out_path / "checkpoint.bin")
-        (out_path / "run_report.json").write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
+        write_atomic(out_path / "run_report.json", (json.dumps(report.to_json_dict(), indent=2) + "\n").encode())
     return report
 
 

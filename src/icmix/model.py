@@ -96,8 +96,11 @@ def init_model(input_dim: int, hidden_dims, num_classes: int, rng: RngState) -> 
     weights = []
     for fan_in, fan_out in zip(dims, dims[1:]):
         limit = math.sqrt(6.0 / fan_in)
-        weights.append(np.array([(2.0 * rng.random() - 1.0) * limit for _ in range(fan_in * fan_out)],
-                                dtype=np.float64).reshape(fan_in, fan_out))
+        w = rng.uniforms(fan_in * fan_out).reshape(fan_in, fan_out)
+        w *= 2.0
+        w -= 1.0
+        w *= limit
+        weights.append(w)
     return ModelParams([DenseLayer(w, np.zeros(w.shape[1])) for w in weights[:-1]], weights[-1])
 
 

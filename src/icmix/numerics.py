@@ -4,11 +4,14 @@ Everything downstream operates on plain 2-D ``numpy.float64`` arrays in
 row-major (C) order; :func:`matrix` is the checked entry point for data
 coming in from files or initializers. The random generator is a hand-rolled
 xoshiro256++ so that draw sequences are reproducible bit for bit across
-platforms and processes, independent of any library version.
+platforms and processes, independent of any library version. Its bulk
+samplers step many jump-ahead lanes of the one stream at once with numpy,
+and draw exactly what the scalar samplers would.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -21,6 +24,14 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # complementary mixing weights (lam, 1 - lam) are an exact involution.
 _TWO_53 = float(1 << 53)
 _INV_2_53 = 2.0 ** -53
+
+_U64 = np.uint64
+_NIBBLE_SHIFTS = np.arange(0, 64, 4, dtype=np.uint64)
+# below this many raw draws, the scalar loop is faster than setting up lanes
+_BULK_MIN = 512
+# bulk normals draw at most this many candidate pairs at once, which keeps
+# their temporary arrays small
+_PAIRS_PER_ROUND = 4096
 
 
 def matrix(data, name: str = "matrix") -> np.ndarray:
@@ -74,6 +85,69 @@ def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
+def _step_lanes(s: np.ndarray, out: np.ndarray, t: np.ndarray) -> None:
+    """One xoshiro256++ step of every column of ``s`` (4 x L uint64), in place.
+
+    Writes each column's output to ``out``; ``t`` is scratch of length L.
+    The same shifts, xors and wrapping adds as :meth:`RngState.next_uint64`.
+    """
+    s0, s1, s2, s3 = s
+    np.add(s0, s3, out=t)
+    np.left_shift(t, _U64(23), out=out)
+    t >>= _U64(41)
+    out |= t
+    out += s0
+    np.left_shift(s1, _U64(17), out=t)
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    np.right_shift(s3, _U64(19), out=t)
+    s3 <<= _U64(45)
+    s3 |= t
+
+
+def _apply(m: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The GF(2)-linear map ``m`` applied to each row of ``states`` (k x 4 uint64).
+
+    ``m`` is 256 x 4: row i is the image of the state whose only set bit is
+    bit i, that is bit i % 64 of word i // 64. A state's image is the xor of
+    the rows of its set bits, looked up four bits at a time in a 32 KB table,
+    for 32 states at a time.
+    """
+    rows = m.reshape(64, 4, 4).transpose(1, 0, 2).reshape(4, 256)  # [bit b of nibble q][q, word]
+    table = np.empty((16, 256), dtype=np.uint64)  # [nibble value v][q, word]: xor of rows 4q + b, b set in v
+    table[0] = 0
+    for b in range(4):
+        np.bitwise_xor(table[:1 << b], rows[b], out=table[1 << b:2 << b])
+    # nibble q = 16 w + j holds bits 4j .. 4j+3 of word w; its table row is v * 64 + q
+    nibbles = (states[:, :, None] >> _NIBBLE_SHIFTS) & _U64(15)
+    index = nibbles.reshape(len(states), 64).T.astype(np.intp)
+    index *= 64
+    index += np.arange(64)[:, None]
+    out = np.empty((len(states), 4), dtype=np.uint64)
+    for i in range(0, len(states), 32):
+        np.bitwise_xor.reduce(table.reshape(1024, 4)[index[:, i:i + 32]], axis=0, out=out[i:i + 32])
+    return out
+
+
+@functools.cache
+def _jump(log2_distance: int) -> np.ndarray:
+    """The xoshiro256 state transition to the power 2**log2_distance, packed for :func:`_apply`."""
+    if log2_distance == 0:
+        bits = np.arange(256)
+        units = np.zeros((4, 256), dtype=np.uint64)
+        units[bits // 64, bits] = _U64(1) << (bits % 64).astype(np.uint64)
+        _step_lanes(units, np.empty(256, dtype=np.uint64), np.empty(256, dtype=np.uint64))
+        m = np.ascontiguousarray(units.T)
+    else:
+        half = _jump(log2_distance - 1)
+        m = _apply(half, half)  # row i of M @ M is M applied to row i of M
+    m.flags.writeable = False
+    return m
+
+
 class RngState:
     """Seeded xoshiro256++ generator with distribution helpers.
 
@@ -87,6 +161,10 @@ class RngState:
     standard power boost for shape < 1); normals use the Marsaglia polar
     method. Both are implemented here, on top of this generator, so the
     whole stack stays version-independent.
+
+    ``uniforms``, ``normals`` and ``permutation`` draw in bulk: the same
+    values, in the same order, as that many calls of ``random``, ``normal``
+    and ``randbelow``, computed with numpy array ops (see :meth:`_raw`).
     """
 
     def __init__(self, seed: int):
@@ -119,6 +197,39 @@ class RngState:
         self._s = [s0, s1, s2, s3]
         return result
 
+    def _raw(self, n: int) -> np.ndarray:
+        """The next ``n`` outputs of :meth:`next_uint64` as a uint64 array.
+
+        The state advances by exactly ``n``. In bulk, the stream is cut into
+        lanes of 2**k consecutive draws. Each lane starts from a jump ahead
+        by a power of the (GF(2)-linear) state transition, and numpy steps
+        all lanes in lockstep. Lane l is row l of the result, so the rows
+        read in stream order; a few steps at a time go through a small
+        buffer, since writing one step across all rows is slow.
+        """
+        if n < _BULK_MIN:
+            return np.fromiter((self.next_uint64() for _ in range(n)), dtype=np.uint64, count=n)
+        log2_steps = max(0, int(n).bit_length() // 2 - 2)  # about 4 sqrt(n) lanes: measured fastest
+        steps = 1 << log2_steps
+        lanes = -(-n // steps)
+        starts = np.array([self._s], dtype=np.uint64)
+        log2_gap = log2_steps
+        while len(starts) < lanes:  # doubling: the new lanes start 2**log2_gap draws after the old ones
+            starts = np.concatenate([starts, _apply(_jump(log2_gap), starts)])
+            log2_gap += 1
+        s = np.ascontiguousarray(starts[:lanes].T)
+        out = np.empty((lanes, steps), dtype=np.uint64)
+        buf = np.empty((min(steps, 32), lanes), dtype=np.uint64)
+        t = np.empty(lanes, dtype=np.uint64)
+        last = n - (lanes - 1) * steps  # draws taken from the last lane
+        for k in range(steps):
+            _step_lanes(s, buf[k % len(buf)], t)
+            if k + 1 == last:
+                self._s = s[:, -1].tolist()
+            if (k + 1) % len(buf) == 0:
+                out[:, k + 1 - len(buf):k + 1] = buf.T
+        return out.reshape(-1)[:n]
+
     def random(self) -> float:
         """Uniform in [0, 1) with 53 random bits."""
         return (self.next_uint64() >> 11) * _INV_2_53
@@ -135,15 +246,36 @@ class RngState:
                 return r % n
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n)."""
-        idx = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = self.randbelow(i + 1)
+        """Fisher-Yates permutation of range(n), swapping i with randbelow(i + 1) for i = n-1 .. 1."""
+        moduli = np.arange(n, 1, -1, dtype=np.uint64)
+        # randbelow(m) rejects r >= 2**64 - 2**64 % m, i.e. r > highest; when
+        # m divides 2**64, highest is 2**64 - 1 and every draw is accepted
+        highest = _U64(_MASK64) - (_U64(_MASK64) % moduli + _U64(1)) % moduli
+        picks = np.empty_like(moduli)
+        done = 0
+        r = self._raw(moduli.size)
+        while True:
+            rejected = np.flatnonzero(r > highest[done:])
+            stop = int(rejected[0]) if rejected.size else r.size
+            np.remainder(r[:stop], moduli[done:done + stop], out=picks[done:done + stop])
+            done += stop
+            if not rejected.size:
+                break
+            # the rejected draw is spent: the draws after it serve the next
+            # moduli, and one more draw keeps one per modulus left
+            r = np.concatenate([r[stop + 1:], self._raw(1)])
+        idx = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
             idx[i], idx[j] = idx[j], idx[i]
-        return idx
+        return np.array(idx, dtype=np.int64)
 
     def uniforms(self, n: int) -> np.ndarray:
-        return np.array([self.random() for _ in range(n)], dtype=np.float64)
+        """``n`` draws of :meth:`random`, in order."""
+        r = self._raw(n)
+        r >>= _U64(11)
+        u = r.astype(np.float64)
+        u *= _INV_2_53
+        return u
 
     def normal(self) -> float:
         """Standard normal draw (Marsaglia polar, spare value cached)."""
@@ -162,7 +294,39 @@ class RngState:
         return u * f
 
     def normals(self, n: int) -> np.ndarray:
-        return np.array([self.normal() for _ in range(n)], dtype=np.float64)
+        """``n`` draws of :meth:`normal`, in order, sharing its pending spare.
+
+        Candidate pairs are drawn in rounds of at most as many as are still
+        needed, so no draw is taken that the scalar loop would not take.
+        ``log`` is ``math.log``, one accepted pair at a time: numpy's SIMD
+        ``log`` can differ from it in the last bit, depending on the CPU.
+        The other ops (+, -, *, / and sqrt) are exactly rounded in both.
+        """
+        n = max(n, 0)  # a negative count draws nothing, as range(n) does
+        head = 1 if n and self._spare_normal is not None else 0
+        pairs = (n - head + 1) // 2
+        out = np.empty(head + 2 * pairs, dtype=np.float64)  # one more than n when a spare is left
+        if head:
+            out[0] = self._spare_normal
+            self._spare_normal = None
+        filled = out[head:].reshape(pairs, 2)
+        done = 0
+        while done < pairs:
+            uv = self.uniforms(2 * min(pairs - done, _PAIRS_PER_ROUND)).reshape(-1, 2)
+            uv *= 2.0
+            uv -= 1.0
+            s = uv[:, 0] * uv[:, 0] + uv[:, 1] * uv[:, 1]
+            keep = (0.0 < s) & (s < 1.0)
+            s = s[keep]
+            f = np.fromiter(map(math.log, s.tolist()), dtype=np.float64, count=s.size)
+            f *= -2.0
+            f /= s
+            np.sqrt(f, out=f)
+            np.multiply(uv[keep], f[:, None], out=filled[done:done + s.size])
+            done += s.size
+        if len(out) > n:
+            self._spare_normal = float(out[n])
+        return out[:n]
 
     def _gamma(self, shape: float) -> float:
         if shape < 1.0:

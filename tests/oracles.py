@@ -230,3 +230,30 @@ def float_dataset_pair(spec):
 
     train = apply(train)
     return train, apply(read(test_files, "test"))
+
+
+def scalar_rng(seed):
+    """An ``RngState`` whose bulk samplers draw one value at a time.
+
+    ``uniforms``, ``normals`` and ``permutation`` are the package's scalar
+    samplers before they drew in bulk: one ``random``, ``normal`` or
+    ``randbelow`` call per value, through ``next_uint64``. Everything else,
+    the scalar generator included, is the package's own.
+    """
+    from icmix.numerics import RngState
+
+    class ScalarRng(RngState):
+        def uniforms(self, n):
+            return np.array([self.random() for _ in range(n)], dtype=np.float64)
+
+        def normals(self, n):
+            return np.array([self.normal() for _ in range(n)], dtype=np.float64)
+
+        def permutation(self, n):
+            idx = np.arange(n)
+            for i in range(n - 1, 0, -1):
+                j = self.randbelow(i + 1)
+                idx[i], idx[j] = idx[j], idx[i]
+            return idx
+
+    return ScalarRng(seed)

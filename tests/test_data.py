@@ -6,6 +6,7 @@ import pytest
 from icmix.data import (
     Dataset,
     DatasetFileError,
+    _blob_means,
     load_cifar,
     longtail_subsample,
     standardize,
@@ -16,7 +17,7 @@ from icmix.harness import build_dataset_pair, dataset_spec_from_dict, evaluate
 from icmix.model import init_model
 from icmix.numerics import RngState, round_half_up
 
-from oracles import float_dataset_pair
+from oracles import float_dataset_pair, scalar_rng
 
 
 def _balanced_blob_train(per_class=500, num_classes=10, seed=3):
@@ -173,12 +174,22 @@ class TestLongtailSubsample:
         assert counts[0] == 400
         assert abs(counts[-1] - 0.05 * 400) <= 1
 
-    def test_requires_balanced_input(self):
+    def test_unbalanced_input_decays_from_smallest_class(self):
         ds = _balanced_blob_train(per_class=100, num_classes=4)
-        unbalanced = stratified_subsample(ds, 1.0, seed=5)
-        unbalanced = Dataset(ds.images[:-3], ds.labels[:-3], 4, "train")
-        with pytest.raises(ValueError, match="balanced"):
-            longtail_subsample(unbalanced, 0.1, seed=5)
+        keep = np.r_[0:100, 100:180, 200:300, 300:390]  # class counts 100, 80, 100, 90
+        unbalanced = Dataset(ds.images[keep], ds.labels[keep], 4, "train")
+        out = longtail_subsample(unbalanced, 0.1, seed=5)
+        assert out.class_counts().tolist() == [round_half_up(80 * 0.1 ** (c / 3)) for c in range(4)]
+        for c in range(4):  # distinct rows of their own class
+            mine = {tuple(r) for r in unbalanced.images[unbalanced.labels == c].tolist()}
+            kept = [tuple(r) for r in out.images[out.labels == c].tolist()]
+            assert len(set(kept)) == len(kept) and set(kept) <= mine
+
+    def test_empty_class_is_an_error(self):
+        ds = _balanced_blob_train(per_class=10, num_classes=3)
+        keep = ds.labels != 1
+        with pytest.raises(ValueError, match="class 1 has no samples"):
+            longtail_subsample(Dataset(ds.images[keep], ds.labels[keep], 3, "train"), 0.5, seed=6)
 
     def test_class_rounding_to_zero_is_an_error(self):
         ds = _balanced_blob_train(per_class=10, num_classes=6)
@@ -199,6 +210,14 @@ class TestSynthBlobs:
         assert train.size == 300 and test.size == 300
         assert np.all(train.class_counts() == 100)
         assert train.split == "train" and test.split == "test"
+
+    def test_same_draws_as_one_normals_call_per_row(self):
+        train, test = synth_blobs(3, 300, 5, 0.3, seed=7)
+        means = _blob_means(3, 5)
+        for ds, stream in ((train, 0), (test, 1)):
+            rng = scalar_rng(RngState(7).derive(stream).seed)
+            expected = np.stack([means[c] + 0.3 * rng.normals(5) for c in range(3) for _ in range(300)])
+            assert np.array_equal(ds.images.view(np.uint64), expected.view(np.uint64))
 
     def test_tiny_spread_nearest_mean_is_perfect(self):
         train, test = synth_blobs(4, 25, 6, 1e-6, seed=2)

@@ -1,4 +1,6 @@
+import errno
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from icmix.harness import (
 from icmix.data import Dataset, synth_blobs
 from icmix.losses import MixedScoreMatrix, loss_cc
 from icmix.mixing import ClassHistogram, MixConfig, one_hot
-from icmix.model import ModelParams, forward, init_model, load_checkpoint
+from icmix.model import ModelParams, forward, init_model, load_checkpoint, save_checkpoint
 from icmix.numerics import RngState
 
 from oracles import naive_hard_cross_entropy
@@ -347,6 +349,23 @@ class TestTrain:
         train(cfg, out_dir=tmp_path / "b")
         assert (tmp_path / "a" / "metrics.csv").read_bytes() == (tmp_path / "b" / "metrics.csv").read_bytes()
         assert (tmp_path / "a" / "checkpoint.bin").read_bytes() == (tmp_path / "b" / "checkpoint.bin").read_bytes()
+
+    def test_failed_artifact_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        train(_blob_config(method="mixup", seed=6, epochs=2), out_dir=tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real_write_bytes = Path.write_bytes
+
+        def half_then_disk_full(path, data):
+            real_write_bytes(path, data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", half_then_disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            train(_blob_config(method="mixup", seed=9, epochs=2), out_dir=tmp_path)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(init_model(4, [], 2, RngState(0)), tmp_path / "new.bin")
+        # the old artifacts are whole and unchanged, and no temporary file is left
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_report_structure(self, tmp_path):
         cfg = _blob_config(method="remix", seed=7, epochs=4)

@@ -1,3 +1,4 @@
+import math
 import re
 import struct
 
@@ -22,7 +23,7 @@ from icmix.model import (
 )
 from icmix.numerics import RngState
 
-from oracles import backward_per_layer, fd_grad, max_rel_err, naive_forward_logits, sgd_step_per_tensor
+from oracles import backward_per_layer, fd_grad, max_rel_err, naive_forward_logits, scalar_rng, sgd_step_per_tensor
 
 
 def _random_net(seed, input_dim, hidden_dims, num_classes):
@@ -233,6 +234,14 @@ class TestInit:
         b = init_model(5, [7], 3, RngState(99))
         assert np.array_equal(a.hidden[0].w, b.hidden[0].w)
         assert np.array_equal(a.final_weights, b.final_weights)
+
+    def test_same_draws_as_scalar_loop(self):
+        params = init_model(40, [30], 3, RngState(5))
+        ref = scalar_rng(5)
+        for w in (params.hidden[0].w, params.final_weights):
+            limit = math.sqrt(6.0 / w.shape[0])
+            expected = np.array([(2.0 * ref.random() - 1.0) * limit for _ in range(w.size)]).reshape(w.shape)
+            assert np.array_equal(w.view(np.uint64), expected.view(np.uint64))
 
     def test_fan_in_scaling_bounds(self):
         params = init_model(24, [10], 3, RngState(100))

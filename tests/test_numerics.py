@@ -1,3 +1,4 @@
+import hashlib
 import math
 import subprocess
 import sys
@@ -6,9 +7,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from icmix import numerics
 from icmix.numerics import RngState, matrix, softmax_log_z
 
-from oracles import naive_log_sum_exp, naive_softmax_rows
+from oracles import naive_log_sum_exp, naive_softmax_rows, scalar_rng
 
 
 def _log_z(values) -> float:
@@ -155,6 +157,133 @@ class TestRng:
             lam = rng.sample_beta(0.7)
             assert 0.0 < lam < 1.0
             assert 1.0 - (1.0 - lam) == lam
+
+
+SEEDS = (0, 7, 2**64 - 1)
+# 0, 1 and 2, then each boundary of the bulk path +-1: the scalar cut-off;
+# 1024, where lanes x steps is exact (8 x 128); 8192, where a lane's steps
+# first fill the 32-row write buffer; 65536, two buffers per lane
+SIZES = sorted({0, 1, 2} | {b + d for b in (numerics._BULK_MIN, 1024, 8192, 65536) for d in (-1, 0, 1)})
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestBulkDraws:
+    """Bulk samplers against the scalar ones they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_raw_outputs_and_state(self, seed):
+        for n in SIZES:
+            bulk, ref = RngState(seed), scalar_rng(seed)
+            assert bulk._raw(n).tolist() == [ref.next_uint64() for _ in range(n)], n
+            assert bulk._s == ref._s, n
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_uniforms(self, seed):
+        bulk, ref = RngState(seed), scalar_rng(seed)
+        for n in SIZES:
+            assert np.array_equal(_bits(bulk.uniforms(n)), _bits(ref.uniforms(n))), n
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_normals_odd_counts_and_pending_spare(self, seed):
+        bulk, ref = RngState(seed), scalar_rng(seed)
+        for n in SIZES + [3, 777, 4097]:
+            # odd counts leave a spare pending, which the next call starts with
+            assert np.array_equal(_bits(bulk.normals(n)), _bits(ref.normals(n))), n
+            assert bulk._spare_normal == ref._spare_normal, n
+        bulk.normal()
+        ref.normal()
+        assert bulk._spare_normal is not None
+        assert np.array_equal(_bits(bulk.normals(1)), _bits(ref.normals(1)))
+        assert bulk._spare_normal is None and bulk._s == ref._s
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_permutation(self, seed):
+        bulk, ref = RngState(seed), scalar_rng(seed)
+        for n in SIZES:
+            got = bulk.permutation(n)
+            assert got.dtype == np.int64 and got.tolist() == ref.permutation(n).tolist(), n
+
+    def test_cifar_sized_uniforms(self):
+        bulk, ref = RngState(3), scalar_rng(3)
+        n = 3072 * 512
+        assert np.array_equal(_bits(bulk.uniforms(n)), _bits(ref.uniforms(n)))
+        assert bulk.next_uint64() == ref.next_uint64()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_interleaved_with_scalar_draws(self, seed):
+        bulk, ref = RngState(seed), scalar_rng(seed)
+        script = [
+            ("uniforms", 700), ("random",), ("normals", 1001), ("randbelow", 10), ("sample_beta", 0.2),
+            ("normal",), ("permutation", 600), ("normals", 3), ("sample_beta", 5.0), ("uniforms", 3),
+            ("normals", 2048), ("permutation", 5), ("sample_beta", 1.0), ("normals", 1),
+        ]
+        for name, *args in script:
+            a, b = getattr(bulk, name)(*args), getattr(ref, name)(*args)
+            if name == "permutation":
+                assert a.tolist() == b.tolist(), name
+            else:
+                assert np.array_equal(_bits(a), _bits(b)), name
+        assert bulk._s == ref._s and bulk._spare_normal == ref._spare_normal
+
+    def test_permutation_rejection_matches_randbelow(self):
+        top = 2**64 - 1
+        # moduli 6, 5, 4, 3, 2. randbelow(m) rejects r >= 2**64 - 2**64 % m:
+        # the top 4 values for 6, the top 1 for 5 and 3, none for 4 and 2,
+        # which divide 2**64
+        script = [top, top - 3, 17, top, top - 1, top, top, 5, top, 11, 12]
+        many_rejections = [top - v % 7 if v % 3 else v for v in range(1, 200)]
+        for n, values in ((6, script), (40, many_rejections)):
+            bulk, ref = RngState(0), scalar_rng(0)
+            bulk_draws, ref_draws = iter(values), iter(values)
+            bulk._raw = lambda k: np.array([next(bulk_draws) for _ in range(k)], dtype=np.uint64)
+            ref.next_uint64 = lambda: next(ref_draws)
+            assert bulk.permutation(n).tolist() == ref.permutation(n).tolist()
+            # both took the same number of draws
+            assert list(bulk_draws) == list(ref_draws)
+
+
+# SHA-256 of the first draws, recorded with the scalar samplers (one
+# next_uint64 per value, before the bulk path existed). Only +, -, *, /,
+# sqrt and math.log touch these values, so they hold on every CPU.
+GOLDEN = {
+    0: {
+        "uniforms": "eaae10aa65ae46b0119e83366e5a8dc29db81c15921cefa3f0994196c271527d",
+        "normals": "f6188e877de7928e9ae12ef0e692ea8228ffb532fc3bc3f9f7b454cdbf86e510",
+        "permutation": "4986a4666eddccec0fcafed7705689b92f1d3137ce1eae3b3e0bbb2ba0d23dc6",
+        "sample_beta": "8e2601785542938ae9d6a0fc07e1c41a2179eee1f372e805ae7b604d4faf03b8",
+    },
+    20240611: {
+        "uniforms": "5e3d5681ddf0b94891dca6b2cdfd4b27bb154397579e454d4c3fe44c907ba343",
+        "normals": "8b022c60014de96b2647e0108ddab5e93c970f6c4a5da948c197714df1d85b33",
+        "permutation": "1a45262205d7b19a81ea58512d9fe2f5e1ee40a11784bfcc05051f2a532ad579",
+        "sample_beta": "4c0f3dfc9b6b69526af25aa2ecb03f9254d07edd4fa8819ea3c792cf944c6e6a",
+    },
+    2**64 - 1: {
+        "uniforms": "a46fb88c4fe1e9887d06f56b664c64dcb93a4d270e5ed63e23147a7662047a7c",
+        "normals": "3b34b03905790f7c2b98f535c6f8c1e5aa6d9edd74ee022542775f184a9820cf",
+        "permutation": "1d7d1d143992fa8f63d82104a602dd5d6f5b40016b61d522997462a803aa64dc",
+        "sample_beta": "e9c40477c74b922ada94eea01c02759407f5ee65ae30ef7f64f1961be2d8e8da",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN))
+def test_golden_draw_digests(seed):
+    def digest(a, dtype):
+        return hashlib.sha256(np.ascontiguousarray(a, dtype=dtype).tobytes()).hexdigest()
+
+    rng = RngState(seed)
+    betas = [rng.sample_beta(alpha) for alpha in (0.2, 1.0, 5.0) for _ in range(100)]
+    got = {
+        "uniforms": digest(RngState(seed).uniforms(10007), "<f8"),
+        "normals": digest(RngState(seed).normals(10001), "<f8"),
+        "permutation": digest(RngState(seed).permutation(10000), "<i8"),
+        "sample_beta": digest(betas, "<f8"),
+    }
+    assert got == GOLDEN[seed]
 
 
 @pytest.fixture(scope="module")
