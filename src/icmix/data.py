@@ -136,22 +136,25 @@ def load_cifar(path, variant: str, split: str) -> Dataset:
     return Dataset(records[:, spec["label_bytes"]:], labels, spec["num_classes"], split, channels=3)
 
 
+def _keep_per_class(ds: Dataset, n_keep: list[int], seed: int, why: str) -> Dataset:
+    """Keep n_keep[c] members of each class c, the first of one permutation of its members."""
+    rng = RngState(seed)
+    keep: list[np.ndarray] = []
+    for c, n in enumerate(n_keep):
+        if n < 1:
+            raise ValueError(f"class {c} would drop to 0 samples at {why}")
+        members = np.flatnonzero(ds.labels == c)
+        keep.append(members[rng.permutation(members.size)[:n]])
+    idx = np.concatenate(keep)
+    return replace(ds, images=ds.images[idx], labels=ds.labels[idx])
+
+
 def stratified_subsample(ds: Dataset, fraction: float, seed: int) -> Dataset:
     """Keep round(fraction * n_c) samples per class, uniformly without replacement."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
-    rng = RngState(seed)
-    counts = ds.class_counts()
-    keep: list[np.ndarray] = []
-    for c in range(ds.num_classes):
-        n_c = int(counts[c])
-        n_keep = round_half_up(fraction * n_c)
-        if n_keep < 1:
-            raise ValueError(f"class {c} would drop to 0 samples at fraction {fraction}")
-        members = np.flatnonzero(ds.labels == c)
-        keep.append(members[rng.permutation(n_c)[:n_keep]])
-    idx = np.concatenate(keep)
-    return replace(ds, images=ds.images[idx], labels=ds.labels[idx])
+    n_keep = [round_half_up(fraction * int(n_c)) for n_c in ds.class_counts()]
+    return _keep_per_class(ds, n_keep, seed, f"fraction {fraction}")
 
 
 def longtail_subsample(ds: Dataset, ratio: float, seed: int) -> Dataset:
@@ -168,18 +171,9 @@ def longtail_subsample(ds: Dataset, ratio: float, seed: int) -> Dataset:
     n_head = int(counts.min())
     if n_head < 1:
         raise ValueError(f"class {int(counts.argmin())} has no samples")
-    rng = RngState(seed)
-    c_total = ds.num_classes
-    keep: list[np.ndarray] = []
-    for c in range(c_total):
-        exponent = c / (c_total - 1) if c_total > 1 else 0.0
-        n_keep = round_half_up(n_head * ratio ** exponent)
-        if n_keep < 1:
-            raise ValueError(f"class {c} would drop to 0 samples at ratio {ratio}")
-        members = np.flatnonzero(ds.labels == c)
-        keep.append(members[rng.permutation(members.size)[:n_keep]])
-    idx = np.concatenate(keep)
-    return replace(ds, images=ds.images[idx], labels=ds.labels[idx])
+    last = max(ds.num_classes - 1, 1)
+    n_keep = [round_half_up(n_head * ratio ** (c / last)) for c in range(ds.num_classes)]
+    return _keep_per_class(ds, n_keep, seed, f"ratio {ratio}")
 
 
 def _blob_means(num_classes: int, dim: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -18,10 +19,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .container import write_atomic
 from .data import Dataset, load_cifar, longtail_subsample, standardize, stratified_subsample, synth_blobs
 from .losses import MixedScoreMatrix, grad_w_cc, grad_w_ci, grad_w_mixup, loss_cc, loss_ci, loss_ic_joint, loss_mixup_ce, mixed_scores
-from .mixing import AXES, METHODS, MIN_ALPHA, REGMIXUP_METHODS, ClassHistogram, MixConfig, mix_batch, one_hot, regmixup_compose
+from .mixing import AXES, METHODS, MIN_ALPHA, REGMIXUP_METHODS, ClassHistogram, MixConfig, mix_batch, mix_weights, regmixup_compose
 from .model import ModelParams, OptimizerState, SgdConfig, backward, forward, init_model, save_checkpoint, sgd_step
 from .numerics import RngState, round_half_up, softmax_log_z
 
@@ -364,9 +364,9 @@ def train(config: TrainConfig, out_dir=None) -> RunReport:
     Per epoch: seeded shuffle, per-batch mixing and loss, SGD update, then a
     clean evaluation of both splits (test-time predictions always use the
     original classes). With ``out_dir`` set, writes metrics.csv,
-    checkpoint.bin, and run_report.json there, creating the directory only
-    once training has finished. A non-finite step or evaluation loss raises
-    NonFiniteError before anything is written.
+    checkpoint.bin, and run_report.json there as one set (see _write_run),
+    creating the directory only once training has finished. A non-finite
+    step or evaluation loss raises NonFiniteError before anything is written.
     """
     config = train_config_from_dict(resolved_config_dict(config))  # a hand-built config meets the same rules
     train_ds, test_ds = build_dataset_pair(config.dataset)
@@ -427,12 +427,29 @@ def train(config: TrainConfig, out_dir=None) -> RunReport:
         epoch_seconds=epoch_seconds,
     )
     if out_dir is not None:
-        out_path = Path(out_dir)
-        out_path.mkdir(parents=True, exist_ok=True)
-        write_atomic(out_path / "metrics.csv", report.metrics_csv().encode())
-        save_checkpoint(params, out_path / "checkpoint.bin")
-        write_atomic(out_path / "run_report.json", (json.dumps(report.to_json_dict(), indent=2) + "\n").encode())
+        _write_run(Path(out_dir), params, report)
     return report
+
+
+def _write_run(out_path: Path, params: ModelParams, report: RunReport) -> None:
+    """Stage the three run files under temporary names, then rename them into place.
+
+    A failed write removes the staged files and leaves the old run files as
+    they were; a crash between the renames can still leave two runs mixed.
+    """
+    out_path.mkdir(parents=True, exist_ok=True)
+    staged = {name: out_path / f".{name}.{os.getpid()}.staged"
+              for name in ("metrics.csv", "checkpoint.bin", "run_report.json")}
+    try:
+        staged["metrics.csv"].write_bytes(report.metrics_csv().encode())
+        save_checkpoint(params, staged["checkpoint.bin"])
+        staged["run_report.json"].write_bytes((json.dumps(report.to_json_dict(), indent=2) + "\n").encode())
+        for name, path in staged.items():
+            os.replace(path, out_path / name)
+    except BaseException:
+        for path in staged.values():
+            path.unlink(missing_ok=True)
+        raise
 
 
 @dataclass
@@ -536,8 +553,7 @@ def _random_instance(rng: RngState, b: int, c: int, d: int):
     labels = np.array([rng.randbelow(c) for _ in range(b)], dtype=np.int64)
     perm = rng.permutation(b)
     lam = np.array([rng.sample_beta(1.0) for _ in range(b)], dtype=np.float64)
-    y_tilde = lam[:, None] * one_hot(labels, c) + (1.0 - lam)[:, None] * one_hot(labels[perm], c)
-    return r, w, y_tilde
+    return r, w, mix_weights(labels, perm, lam, c)
 
 
 @dataclass

@@ -8,7 +8,7 @@ mixed samples side by side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -103,34 +103,50 @@ class ClassHistogram:
         return int(self.counts.shape[0])
 
 
-def one_hot(labels, num_classes: int) -> np.ndarray:
-    """B x C one-hot matrix from integer labels."""
+def _checked_labels(labels, num_classes: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1:
         raise ValueError("labels must be 1-D")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError(f"labels must lie in [0, {num_classes})")
+    return labels
+
+
+def one_hot(labels, num_classes: int) -> np.ndarray:
+    """B x C one-hot matrix from integer labels."""
+    labels = _checked_labels(labels, num_classes)
     out = np.zeros((labels.shape[0], num_classes), dtype=np.float64)
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
 
 
-def remix_label_ratio(lam: float, n_i: int, n_j: int, tau: float, kappa: float) -> float:
-    """Label-mixing ratio for a pair with class counts (n_i, n_j).
+def mix_weights(labels, partners, lam_y, num_classes: int) -> np.ndarray:
+    """Target rows lam_y[i] * e(labels[i]) + (1 - lam_y[i]) * e(labels[partners[i]]).
+
+    The one row rule: a mixed row, a remix row (lam_y snapped to 0 or 1) and
+    a clean row (its own partner, lam_y = 1) are all built here.
+    """
+    out = one_hot(labels, num_classes) * lam_y[:, None]
+    out[np.arange(out.shape[0]), np.asarray(labels)[partners]] += 1.0 - lam_y
+    return out
+
+
+def remix_label_ratio(lam, n_i, n_j, tau: float, kappa: float):
+    """Label-mixing ratio for pairs with class counts (n_i, n_j), elementwise.
 
     Returns 0 when the first class outnumbers the second by at least kappa
-    and lam < tau, 1 in the mirrored case, and lam otherwise. The input
-    interpolation ratio itself is never touched; only the label side is
-    reassigned, which biases mixed labels toward the rarer class.
+    and lam < tau, 1 in the mirrored case, and lam otherwise; when both
+    cases hold, 0 wins. The input interpolation ratio itself is never
+    touched; only the label side is reassigned, which biases mixed labels
+    toward the rarer class. Scalar arguments give a scalar.
     """
-    if n_i < 1 or n_j < 1:
+    lam, n_i, n_j = np.asarray(lam, dtype=np.float64), np.asarray(n_i), np.asarray(n_j)
+    if np.any(n_i < 1) or np.any(n_j < 1):
         raise ValueError("class counts must be >= 1")
     ratio = n_i / n_j
-    if ratio >= kappa and lam < tau:
-        return 0.0
-    if ratio <= 1.0 / kappa and 1.0 - lam < tau:
-        return 1.0
-    return float(lam)
+    to_zero = (ratio >= kappa) & (lam < tau)
+    to_one = (ratio <= 1.0 / kappa) & (1.0 - lam < tau)
+    return np.where(to_zero, 0.0, np.where(to_one, 1.0, lam))[()]
 
 
 def mix_batch(
@@ -153,17 +169,12 @@ def mix_batch(
     batch is fully determined by the generator state.
     """
     inputs = matrix(inputs, name="inputs")
-    labels = np.asarray(labels, dtype=np.int64)
-    num_classes = histogram.num_classes
+    labels = _checked_labels(labels, histogram.num_classes)
     b = inputs.shape[0]
     if labels.shape != (b,):
         raise ValueError("labels length must match the batch size")
-
     if config.method == "none":
-        weights = one_hot(labels, num_classes)
-        pairs = np.stack([np.arange(b), np.arange(b)], axis=1)
-        return MixBatch(inputs, weights, np.ones(b, dtype=np.float64), pairs)
-
+        return _clean(inputs, labels, histogram.num_classes)
     if b < 2:
         raise ValueError("batch too small to pair")
 
@@ -172,27 +183,19 @@ def mix_batch(
 
     lam_col = lambdas[:, None]
     mixed_inputs = lam_col * inputs + (1.0 - lam_col) * inputs[perm]
-
+    lam_y = lambdas
     if config.method in REMIX_METHODS:
         counts = histogram.counts
-        lam_y = np.array(
-            [
-                remix_label_ratio(
-                    lambdas[i], int(counts[labels[i]]), int(counts[labels[perm[i]]]),
-                    config.tau, config.kappa,
-                )
-                for i in range(b)
-            ],
-            dtype=np.float64,
-        )
-    else:
-        lam_y = lambdas
+        lam_y = remix_label_ratio(lambdas, counts[labels], counts[labels[perm]], config.tau, config.kappa)
+    weights = mix_weights(labels, perm, lam_y, histogram.num_classes)
+    return MixBatch(mixed_inputs, weights, lambdas, np.stack([np.arange(b), perm], axis=1))
 
-    lam_y_col = lam_y[:, None]
-    weights = lam_y_col * one_hot(labels, num_classes) + (1.0 - lam_y_col) * one_hot(labels[perm], num_classes)
 
-    pairs = np.stack([np.arange(b), perm], axis=1)
-    return MixBatch(mixed_inputs, weights, lambdas, pairs)
+def _clean(inputs: np.ndarray, labels: np.ndarray, num_classes: int) -> MixBatch:
+    """The batch unmixed: each row its own partner, lambda 1, one-hot weights."""
+    rows = np.arange(inputs.shape[0])
+    ones = np.ones(inputs.shape[0], dtype=np.float64)
+    return MixBatch(inputs, mix_weights(labels, rows, ones, num_classes), ones, np.stack([rows, rows], axis=1))
 
 
 def regmixup_compose(clean_inputs: np.ndarray, clean_labels, mixed: MixBatch) -> MixBatch:
@@ -204,18 +207,11 @@ def regmixup_compose(clean_inputs: np.ndarray, clean_labels, mixed: MixBatch) ->
     """
     clean_inputs = matrix(clean_inputs, name="clean_inputs")
     clean_labels = np.asarray(clean_labels, dtype=np.int64)
-    b, d = clean_inputs.shape
-    num_classes = mixed.mix_weights.shape[1]
-    if mixed.inputs.shape != (b, d):
+    if mixed.inputs.shape != clean_inputs.shape:
         raise ValueError(
             f"clean batch {clean_inputs.shape} and mixed batch {mixed.inputs.shape} disagree"
         )
-    if clean_labels.shape != (b,):
+    if clean_labels.shape != (clean_inputs.shape[0],):
         raise ValueError("clean labels length must match the batch size")
-
-    inputs = np.vstack([clean_inputs, mixed.inputs])
-    weights = np.vstack([one_hot(clean_labels, num_classes), mixed.mix_weights])
-    lambdas = np.concatenate([np.ones(b, dtype=np.float64), mixed.lambdas])
-    clean_pairs = np.stack([np.arange(b), np.arange(b)], axis=1)
-    pairs = np.vstack([clean_pairs, mixed.pair_indices])
-    return MixBatch(inputs, weights, lambdas, pairs)
+    clean = _clean(clean_inputs, clean_labels, mixed.mix_weights.shape[1])
+    return MixBatch(*(np.concatenate([getattr(clean, f.name), getattr(mixed, f.name)]) for f in fields(MixBatch)))

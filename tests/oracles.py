@@ -257,3 +257,54 @@ def scalar_rng(seed):
             return idx
 
     return ScalarRng(seed)
+
+
+def per_row_mix_batch(inputs, labels, config, counts, rng):
+    """``mix_batch`` with the remix label rule applied one row at a time.
+
+    The formula the one-row builder replaced: the remix ratio decided per
+    row by scalar comparisons, and the weights formed as lam_y times one
+    one-hot matrix plus (1 - lam_y) times another; method "none" is one-hot
+    rows with lambda 1 and identity pairs. Draws one permutation, then one
+    ``sample_beta`` per row, as the package does. Returns (inputs,
+    mix_weights, lambdas, pair_indices).
+    """
+    inputs = np.asarray(inputs, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    b, c = inputs.shape[0], len(counts)
+
+    def one_hot(ls):
+        out = np.zeros((len(ls), c))
+        for i, y in enumerate(ls):
+            out[i, int(y)] = 1.0
+        return out
+
+    if config.method == "none":
+        return inputs, one_hot(labels), np.ones(b), np.stack([np.arange(b), np.arange(b)], axis=1)
+    perm = rng.permutation(b)
+    lambdas = np.array([rng.sample_beta(config.alpha) for _ in range(b)], dtype=np.float64)
+    lam_col = lambdas[:, None]
+    mixed = lam_col * inputs + (1.0 - lam_col) * inputs[perm]
+    lam_y = lambdas.copy()
+    if config.method in ("remix", "ic_remix"):
+        for i in range(b):
+            ratio = int(counts[labels[i]]) / int(counts[labels[perm[i]]])
+            lam = float(lambdas[i])
+            if ratio >= config.kappa and lam < config.tau:
+                lam_y[i] = 0.0
+            elif ratio <= 1.0 / config.kappa and 1.0 - lam < config.tau:
+                lam_y[i] = 1.0
+    lam_y_col = lam_y[:, None]
+    weights = lam_y_col * one_hot(labels) + (1.0 - lam_y_col) * one_hot(labels[perm])
+    return mixed, weights, lambdas, np.stack([np.arange(b), perm], axis=1)
+
+
+def per_row_regmixup_compose(clean_inputs, clean_labels, mixed, num_classes):
+    """Clean one-hot rows (lambda 1, identity pairs) stacked on a mixed tuple
+    as ``per_row_mix_batch`` returns it."""
+    clean_inputs = np.asarray(clean_inputs, dtype=np.float64)
+    b = clean_inputs.shape[0]
+    clean_weights = np.zeros((b, num_classes))
+    clean_weights[np.arange(b), clean_labels] = 1.0
+    clean = (clean_inputs, clean_weights, np.ones(b), np.stack([np.arange(b), np.arange(b)], axis=1))
+    return tuple(np.concatenate([x, y]) for x, y in zip(clean, mixed))

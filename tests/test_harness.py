@@ -367,6 +367,24 @@ class TestTrain:
         # the old artifacts are whole and unchanged, and no temporary file is left
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_failed_checkpoint_write_keeps_the_old_run(self, tmp_path, monkeypatch):
+        train(_blob_config(method="mixup", seed=6, epochs=2), out_dir=tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["checkpoint.bin", "metrics.csv", "run_report.json"]
+        real_write_bytes = Path.write_bytes
+
+        def checkpoint_disk_full(path, data):
+            if "checkpoint.bin" not in path.name:
+                return real_write_bytes(path, data)
+            real_write_bytes(path, data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", checkpoint_disk_full)
+        # a different run, so every one of its files would differ from the old one
+        with pytest.raises(OSError, match="No space left"):
+            train(_blob_config(method="ic_mixup", seed=9, epochs=3), out_dir=tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_report_structure(self, tmp_path):
         cfg = _blob_config(method="remix", seed=7, epochs=4)
         report = train(cfg, out_dir=tmp_path)

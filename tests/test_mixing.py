@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from icmix.mixing import (
+    METHODS,
     ClassHistogram,
     MixBatch,
     MixConfig,
@@ -12,6 +13,8 @@ from icmix.mixing import (
 )
 from icmix.losses import loss_ic_joint, mixed_scores
 from icmix.numerics import RngState
+
+from oracles import per_row_mix_batch, per_row_regmixup_compose
 
 
 class _ForcedLambdaRng:
@@ -248,3 +251,106 @@ class TestRegmixupCompose:
         doubled_weights = np.vstack([one_hot(labels, 3), one_hot(labels, 3)])
         ms_dup = mixed_scores(doubled_inputs, w, doubled_weights)
         assert loss_ic_joint(ms_combo).value == loss_ic_joint(ms_dup).value
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _assert_same_batch(batch, expected):
+    inputs, weights, lambdas, pairs = expected
+    assert np.array_equal(_bits(batch.inputs), _bits(inputs))
+    assert np.array_equal(_bits(batch.mix_weights), _bits(weights))
+    assert np.array_equal(_bits(batch.lambdas), _bits(lambdas))
+    assert np.array_equal(batch.pair_indices, pairs)
+
+
+def _assert_matches_oracle(inputs, labels, config, counts, rng_a, rng_b):
+    """mix_batch and regmixup_compose equal the per-row formula bit for bit."""
+    hist = ClassHistogram(counts)
+    mixed = mix_batch(inputs, labels, config, hist, rng_a)
+    expected = per_row_mix_batch(inputs, labels, config, hist.counts, rng_b)
+    _assert_same_batch(mixed, expected)
+    combo = regmixup_compose(inputs, labels, mixed)
+    _assert_same_batch(combo, per_row_regmixup_compose(inputs, labels, expected, hist.num_classes))
+
+
+class _ListRng:
+    """A fixed permutation, then the given lambdas one draw at a time."""
+
+    def __init__(self, perm, lambdas):
+        self.perm = np.array(perm)
+        self.lambdas = iter(lambdas)
+
+    def permutation(self, n):
+        return self.perm.copy()
+
+    def sample_beta(self, alpha):
+        return next(self.lambdas)
+
+
+class TestPerRowOracle:
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_batches_bit_equal(self, method, seed):
+        rng = RngState(100 + seed)
+        for trial in range(12):
+            b = 1 + rng.randbelow(20) if method == "none" else 2 + rng.randbelow(20)
+            c = 1 + rng.randbelow(6)
+            inputs, labels = _random_batch(rng, b, 1 + rng.randbelow(5), c)
+            # few classes with skewed counts: same-class pairs and remix snaps both occur
+            counts = np.array([1 + rng.randbelow(1000) for _ in range(c)])
+            config = MixConfig(method=method, alpha=(0.2, 1.0, 20.0)[trial % 3],
+                               tau=rng.random(), kappa=1.0 + 4.0 * rng.random())
+            _assert_matches_oracle(inputs, labels, config, counts, RngState(seed), RngState(seed))
+
+    @pytest.mark.parametrize("method", ["remix", "ic_remix"])
+    @pytest.mark.parametrize("tau,kappa", [(0.5, 3.0), (0.5, 1.0), (0.8, 1.0), (0.0, 1.0), (1.0, 3.0)])
+    def test_remix_edges_bit_equal(self, method, tau, kappa):
+        # class counts 900, 100, 300, 100: pairs (0, 1) and (1, 0) have ratios 9 and 1/9,
+        # (2, 1) and (1, 2) ratios exactly kappa = 3 and 1/kappa, (1, 3) ratio 1
+        counts = np.array([900, 100, 300, 100])
+        labels = np.array([0, 1, 2, 1, 1, 3, 0, 0])
+        perm = [1, 0, 3, 2, 5, 4, 7, 6]
+        lambdas = [0.25, 0.8, 0.2, 0.9, tau, 1.0 - tau, 0.0, 1.0]
+        inputs = RngState(21).normals(8 * 3).reshape(8, 3)
+        config = MixConfig(method=method, tau=tau, kappa=kappa)
+        _assert_matches_oracle(inputs, labels, config, counts,
+                               _ListRng(perm, lambdas), _ListRng(perm, lambdas))
+
+    def test_remix_snaps_to_zero_and_one(self):
+        counts = ClassHistogram(np.array([900, 100]))
+        labels = np.array([0, 1, 1, 0])
+        rng = _ListRng([1, 0, 3, 2], [0.25, 0.8, 0.8, 0.25])
+        batch = mix_batch(np.zeros((4, 2)), labels, MixConfig(method="remix"), counts, rng)
+        # rows 0 and 3 snap to the rarer partner class, rows 1 and 2 to their own rarer class
+        assert np.array_equal(batch.mix_weights, np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]))
+
+    def test_clean_batch_of_one(self):
+        inputs, labels = np.array([[0.5, -1.5]]), np.array([2])
+        _assert_matches_oracle(inputs, labels, MixConfig(method="none"), np.array([3, 1, 1]),
+                               RngState(0), RngState(0))
+
+
+def test_remix_label_ratio_elementwise_equals_scalar():
+    rng = RngState(31)
+    n = 400
+    lam = np.array([rng.sample_beta(0.5) for _ in range(n)])
+    lam[:6] = [0.0, 1.0, 0.5, 0.5, 0.25, 0.75]
+    n_i = np.array([1 + rng.randbelow(12) for _ in range(n)])
+    n_j = np.array([1 + rng.randbelow(12) for _ in range(n)])
+    n_i[:6], n_j[:6] = [9, 1, 3, 1, 3, 1], [3, 3, 1, 3, 3, 3]
+    for tau, kappa in ((0.5, 3.0), (0.8, 1.0), (0.3, 2.0)):
+        out = remix_label_ratio(lam, n_i, n_j, tau, kappa)
+        assert out.shape == (n,)
+        for k in range(n):
+            scalar = remix_label_ratio(float(lam[k]), int(n_i[k]), int(n_j[k]), tau, kappa)
+            assert _bits(out[k]) == _bits(scalar)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_out_of_range_label_is_a_value_error(method, bad):
+    hist = ClassHistogram(np.array([5, 5, 5]))
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+        mix_batch(np.zeros((2, 2)), np.array([0, bad]), MixConfig(method=method), hist, RngState(0))
