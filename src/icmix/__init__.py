@@ -47,13 +47,10 @@ from .model import (
     DenseLayer,
     ForwardCache,
     ModelParams,
-    OptimizerState,
-    SgdConfig,
     backward,
     forward,
     init_model,
     load_checkpoint,
-    lr_for_epoch,
     save_checkpoint,
     sgd_step,
 )

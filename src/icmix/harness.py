@@ -22,7 +22,7 @@ import numpy as np
 from .data import Dataset, load_cifar, longtail_subsample, standardize, stratified_subsample, synth_blobs
 from .losses import MixedScoreMatrix, grad_w_cc, grad_w_ci, grad_w_mixup, loss_cc, loss_ci, loss_ic_joint, loss_mixup_ce, mixed_scores
 from .mixing import AXES, METHODS, MIN_ALPHA, REGMIXUP_METHODS, ClassHistogram, MixConfig, mix_batch, mix_weights, regmixup_compose
-from .model import ModelParams, OptimizerState, SgdConfig, backward, forward, init_model, save_checkpoint, sgd_step
+from .model import ModelParams, backward, forward, init_model, save_checkpoint, sgd_step
 from .numerics import RngState, round_half_up, softmax_log_z
 
 DATASET_KINDS = ("cifar10", "cifar100", "blobs")
@@ -378,25 +378,22 @@ def train(config: TrainConfig, out_dir=None) -> RunReport:
     params = init_model(train_ds.images.shape[1], config.model.hidden_dims,
                         train_ds.num_classes, root.derive(_STREAM_INIT))
     loop_rng = root.derive(_STREAM_LOOP)
-
-    opt = OptimizerState(params, SgdConfig(
-        lr=config.train.lr, momentum=config.train.momentum,
-        weight_decay=config.train.weight_decay,
-        lr_decay=config.train.lr_decay, lr_steps=config.train.lr_steps,
-    ))
+    momentum = np.zeros_like(params.flat)
+    spec = config.train
 
     keep_singletons = config.method.method == "none"
     step = 0  # SGD steps taken over the whole run
     records: list[EpochRecord] = []
     epoch_seconds: list[float] = []
     t_start = time.perf_counter()
-    for epoch in range(1, config.train.epochs + 1):
+    for epoch in range(1, spec.epochs + 1):
         t_epoch = time.perf_counter()
-        opt.set_epoch(epoch)
+        # the base rate, decayed once for every schedule boundary already crossed
+        lr = spec.lr * spec.lr_decay ** sum(1 for s in spec.lr_steps if epoch > s)
         order = loop_rng.permutation(train_ds.size)
         loss_sum = 0.0
         rows = 0
-        for start, stop in _epoch_batches(train_ds.size, config.train.batch_size, keep_singletons):
+        for start, stop in _epoch_batches(train_ds.size, spec.batch_size, keep_singletons):
             idx = order[start:stop]
             value, grads, n_rows = batch_loss_and_grads(
                 params, config.method, train_ds.images[idx], train_ds.labels[idx],
@@ -405,7 +402,7 @@ def train(config: TrainConfig, out_dir=None) -> RunReport:
             step += 1
             if not math.isfinite(value):
                 raise NonFiniteError("training loss", value, epoch, step)
-            sgd_step(params, grads, opt)
+            sgd_step(params, grads, momentum, lr, spec.momentum, spec.weight_decay)
             loss_sum += value * n_rows
             rows += n_rows
         if rows == 0:
@@ -415,8 +412,8 @@ def train(config: TrainConfig, out_dir=None) -> RunReport:
         for split, loss in (("train", train_eval.loss), ("test", test_eval.loss)):
             if not math.isfinite(loss):
                 raise NonFiniteError(f"{split} eval loss", loss, epoch, step)
-        records.append(EpochRecord(epoch, "train", loss_sum / rows, train_eval.accuracy, opt.lr))
-        records.append(EpochRecord(epoch, "test", test_eval.loss, test_eval.accuracy, opt.lr))
+        records.append(EpochRecord(epoch, "train", loss_sum / rows, train_eval.accuracy, lr))
+        records.append(EpochRecord(epoch, "test", test_eval.loss, test_eval.accuracy, lr))
         epoch_seconds.append(time.perf_counter() - t_epoch)
 
     report = RunReport(

@@ -4,11 +4,12 @@ Flattened inputs pass through zero or more rectified-linear hidden layers
 into a final linear classifier W with no bias, so a mixed classifier
 W @ y_tilde is an exact interpolation of the class weight columns. The
 optimizer is SGD with classical heavy-ball momentum, L2 weight decay on
-weight matrices (not biases), and a step learning-rate schedule.
+weight matrices (not biases); the training loop sets the learning rate.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,51 +30,38 @@ class DenseLayer:
 class ModelParams:
     """Every parameter tensor as a view into one C-contiguous float64 vector.
 
-    ``flat`` holds the weight matrices first (hidden0.w, ..., final_weights)
-    and the hidden biases after them, so weight decay covers the prefix
+    ``dims`` are the layer widths ``[input, *hidden, classes]``. ``flat``
+    holds the weight matrices first (hidden0.w, ..., final_weights) and the
+    hidden biases after them, so weight decay covers the prefix
     ``flat[:num_decayed]``. Gradients and momentum share this layout, and
     this class is the only code that knows the tensor order and offsets.
-    The constructor copies the given tensors into a new vector.
+    Without ``flat``, the vector starts at zero.
     """
 
-    def __init__(self, hidden: list[DenseLayer], final_weights: np.ndarray):
-        dim = None
-        for i, layer in enumerate(hidden):
-            if layer.w.ndim != 2 or layer.b.shape != (layer.w.shape[1],):
-                raise ValueError(f"hidden layer {i} has inconsistent shapes")
-            if dim is not None and layer.w.shape[0] != dim:
-                raise ValueError(f"hidden layer {i} input width {layer.w.shape[0]} != {dim}")
-            dim = layer.w.shape[1]
-        if final_weights.ndim != 2:
-            raise ValueError("final_weights must be 2-D")
-        if dim is not None and final_weights.shape[0] != dim:
-            raise ValueError("final_weights input width does not chain with the hidden stack")
-        tensors = [layer.w for layer in hidden] + [final_weights] + [layer.b for layer in hidden]
-        ends = np.cumsum([0] + [t.size for t in tensors]).tolist()
-        table = tuple(zip(ends, ends[1:], [t.shape for t in tensors]))
-        self._bind(np.concatenate([t.ravel() for t in tensors], dtype=np.float64), table)
-
-    def _bind(self, flat: np.ndarray, table: tuple) -> None:
-        n = len(table) // 2  # hidden layers: the table holds n weights, final_weights, n biases
-        views = [flat[start:stop].reshape(shape) for start, stop, shape in table]
-        self.flat, self._table = flat, table
+    def __init__(self, dims, flat: np.ndarray | None = None):
+        self.dims = [int(d) for d in dims]
+        shapes = [*zip(self.dims, self.dims[1:]), *((d,) for d in self.dims[1:-1])]
+        ends = [0, *itertools.accumulate(map(math.prod, shapes))]
+        self.flat = np.zeros(ends[-1]) if flat is None else flat
+        if self.flat.shape != (ends[-1],):
+            raise ValueError(f"flat has shape {self.flat.shape}, widths {self.dims} need ({ends[-1]},)")
+        views = [self.flat[start:stop].reshape(s) for start, stop, s in zip(ends, ends[1:], shapes)]
+        n = len(self.dims) - 2  # hidden layers
         self.hidden = [DenseLayer(w, b) for w, b in zip(views[:n], views[n + 1:])]
         self.final_weights = views[n]
-        self.num_decayed = table[n][1]
+        self.num_decayed = ends[n + 1]
 
-    def empty_like(self) -> ModelParams:
-        """Tensors of this layout on a new, uninitialized vector."""
-        out = object.__new__(ModelParams)
-        out._bind(np.empty_like(self.flat), self._table)
-        return out
+    def checkpoint_order(self) -> list[np.ndarray]:
+        """The tensors in checkpoint order: hidden0.w, hidden0.b, ..., final_weights."""
+        return [t for layer in self.hidden for t in (layer.w, layer.b)] + [self.final_weights]
 
     @property
     def input_dim(self) -> int:
-        return int(self.hidden[0].w.shape[0]) if self.hidden else int(self.final_weights.shape[0])
+        return self.dims[0]
 
     @property
     def num_classes(self) -> int:
-        return int(self.final_weights.shape[1])
+        return self.dims[-1]
 
 
 @dataclass
@@ -92,16 +80,13 @@ def init_model(input_dim: int, hidden_dims, num_classes: int, rng: RngState) -> 
     Entries are drawn row-major per tensor, tensors in layer order, so the
     parameters are a pure function of (architecture, rng state).
     """
-    dims = [int(input_dim), *map(int, hidden_dims), int(num_classes)]
-    weights = []
-    for fan_in, fan_out in zip(dims, dims[1:]):
-        limit = math.sqrt(6.0 / fan_in)
-        w = rng.uniforms(fan_in * fan_out).reshape(fan_in, fan_out)
+    params = ModelParams([input_dim, *hidden_dims, num_classes])
+    params.flat[:params.num_decayed] = rng.uniforms(params.num_decayed)
+    for w in [layer.w for layer in params.hidden] + [params.final_weights]:
         w *= 2.0
         w -= 1.0
-        w *= limit
-        weights.append(w)
-    return ModelParams([DenseLayer(w, np.zeros(w.shape[1])) for w in weights[:-1]], weights[-1])
+        w *= math.sqrt(6.0 / w.shape[0])
+    return params
 
 
 def forward(params: ModelParams, inputs: np.ndarray) -> ForwardCache:
@@ -130,7 +115,7 @@ def backward(params: ModelParams, cache: ForwardCache, grad_logits: np.ndarray) 
     grad_logits = np.asarray(grad_logits, dtype=np.float64)
     if grad_logits.shape != cache.logits.shape:
         raise ValueError(f"grad_logits {grad_logits.shape} != logits {cache.logits.shape}")
-    grads = params.empty_like()
+    grads = ModelParams(params.dims, np.empty_like(params.flat))
     np.matmul(cache.features.T, grad_logits, out=grads.final_weights)
     # upstream gradient and the weights it flows back through; the gradient
     # with respect to the inputs is never formed, since nothing reads it
@@ -144,72 +129,56 @@ def backward(params: ModelParams, cache: ForwardCache, grad_logits: np.ndarray) 
     return grads
 
 
-@dataclass(frozen=True)
-class SgdConfig:
-    lr: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    lr_decay: float = 0.2
-    lr_steps: tuple[int, ...] = (50, 100, 150)
-
-
-def lr_for_epoch(config: SgdConfig, epoch: int) -> float:
-    """Base rate decayed once for every schedule boundary already crossed."""
-    crossings = sum(1 for s in config.lr_steps if epoch > s)
-    return config.lr * config.lr_decay ** crossings
-
-
-class OptimizerState:
-    """The momentum vector, in the parameters' flat layout, and the current learning rate."""
-
-    def __init__(self, params: ModelParams, config: SgdConfig):
-        self.config = config
-        self.lr = config.lr
-        self.momentum = np.zeros_like(params.flat)
-
-    def set_epoch(self, epoch: int) -> None:
-        self.lr = lr_for_epoch(self.config, int(epoch))
-
-
-def sgd_step(params: ModelParams, grads: ModelParams, state: OptimizerState) -> None:
+def sgd_step(params: ModelParams, grads: ModelParams, momentum: np.ndarray,
+             lr: float, mu: float, weight_decay: float) -> None:
     """One heavy-ball update, in place: m = m*mu + (g + wd*p), p -= lr*m.
 
-    Weight decay covers the weight prefix of the flat vector. The biases
-    keep the ``0.0 * p`` term of a zero decay: dropping it would flip the
-    sign of some zero momentum entries, and with them some zero parameters.
+    ``momentum`` is a vector in the parameters' flat layout. Weight decay
+    covers the weight prefix of the flat vector. The biases keep the
+    ``0.0 * p`` term of a zero decay: dropping it would flip the sign of some
+    zero momentum entries, and with them some zero parameters.
     """
-    cfg = state.config
     n = params.num_decayed
-    p, g, m = params.flat, grads.flat, state.momentum
-    m *= cfg.momentum
-    m[:n] += g[:n] + cfg.weight_decay * p[:n]
+    p, g, m = params.flat, grads.flat, momentum
+    m *= mu
+    m[:n] += g[:n] + weight_decay * p[:n]
     m[n:] += g[n:] + 0.0 * p[n:]
-    p -= state.lr * m
+    p -= lr * m
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Write parameters to the flat binary container (kind 1).
-
-    Array order is hidden0.w, hidden0.b, ..., final_weights; metadata holds
-    the hidden-layer count.
-    """
-    arrays: list[np.ndarray] = []
-    for layer in params.hidden:
-        arrays.append(layer.w)
-        arrays.append(layer.b)
-    arrays.append(params.final_weights)
-    container.write_container(path, container.KIND_CHECKPOINT, (len(params.hidden), 0), arrays)
+    """Write ``params.checkpoint_order()`` to the flat binary container (kind 1),
+    with the hidden-layer count as metadata."""
+    container.write_container(path, container.KIND_CHECKPOINT, (len(params.hidden), 0),
+                              params.checkpoint_order())
 
 
 def load_checkpoint(path) -> ModelParams:
+    """Read a kind-1 checkpoint; every error names ``path``.
+
+    The layer widths are the first weight matrix's rows and every weight
+    matrix's columns (arrays 0, 2, ..., 2 * n_hidden). Each array's shape is
+    checked against them before the parameter vector is allocated, so a
+    crafted header cannot make the loader allocate more than the file holds.
+    """
     kind, meta, arrays = container.read_container(path)
     if kind != container.KIND_CHECKPOINT:
         raise ValueError(f"{path}: container kind {kind} is not a checkpoint")
     n_hidden = meta[0]
     if len(arrays) != 2 * n_hidden + 1:
         raise ValueError(f"{path}: expected {2 * n_hidden + 1} arrays, found {len(arrays)}")
-    hidden = [DenseLayer(arrays[2 * i], arrays[2 * i + 1]) for i in range(n_hidden)]
-    params = ModelParams(hidden, arrays[2 * n_hidden])
+    weights = [a.shape for a in arrays[0::2]]
+    dims = [s[0] if s else 0 for s in weights[:1]] + [s[-1] if s else 0 for s in weights]
+    if min(dims) < 1:
+        raise ValueError(f"{path}: layer widths {dims} must all be at least 1")
+    for i, a in enumerate(arrays):
+        k = i // 2
+        expected = (dims[k + 1],) if i % 2 else (dims[k], dims[k + 1])
+        if a.shape != expected:
+            raise ValueError(f"{path}: array {i} has shape {a.shape}, expected {expected}")
+    params = ModelParams(dims)
+    for a, view in zip(arrays, params.checkpoint_order()):
+        view[...] = a
     if not np.all(np.isfinite(params.flat)):
         raise ValueError(f"{path}: checkpoint holds non-finite parameters")
     return params

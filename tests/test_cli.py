@@ -3,6 +3,7 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from icmix import container
@@ -112,6 +113,27 @@ def test_checkpoint_with_huge_dims_is_validation_error(tmp_path, capsys):
     spec = json.dumps({"kind": "blobs", "seed": 0})
     assert main(["eval", "--checkpoint", str(path), "--dataset", spec]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: expected ")
+
+
+def test_checkpoint_with_hostile_shapes_is_validation_error_naming_the_path(tmp_path, capsys):
+    # a bias of length 6 under a 4 x 5 weight used to be reported without the file's name
+    path = tmp_path / "crafted.bin"
+    container.write_container(path, container.KIND_CHECKPOINT, (1, 0), [np.ones((4, 5)), np.ones(6), np.ones((5, 3))])
+    spec = json.dumps({"kind": "blobs", "seed": 0})
+    assert main(["eval", "--checkpoint", str(path), "--dataset", spec]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: array 1 has shape (6,), expected (5,)")
+
+
+def test_out_of_memory_is_validation_error_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # blobs with per_class 1e9 and dim 10 used to end in a traceback from numpy's allocator
+    def out_of_memory(spec):
+        raise MemoryError("Unable to allocate 224. GiB for an array with shape (30000000000,)")
+
+    monkeypatch.setattr("icmix.harness.build_dataset_pair", out_of_memory)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 224. GiB for an array with shape (30000000000,)\n"
+    assert not out.exists()
 
 
 def test_analyze_bad_step_is_validation_error(tmp_path, capsys):

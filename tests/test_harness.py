@@ -311,7 +311,8 @@ class TestEvaluate:
 
     def test_ideal_logits_give_perfect_accuracy(self):
         ds_train, _ = synth_blobs(3, 30, 3, 0.4, seed=23)
-        params = ModelParams([], np.eye(3) * 100.0)
+        params = ModelParams([3, 3])
+        params.final_weights[...] = np.eye(3) * 100.0
         ds = Dataset(one_hot(ds_train.labels, 3), ds_train.labels, 3, "test")
         assert evaluate(params, ds).accuracy == 1.0
 
@@ -434,6 +435,18 @@ class TestTrain:
         report = train(cfg)
         lrs = [r.lr for r in report.records if r.split == "train"]
         assert lrs == [0.1, 0.1, 0.05, 0.05, 0.025, 0.025]
+
+    def test_lr_decays_once_per_boundary_after_it(self):
+        # epoch e has crossed boundary s only when e > s; the rate is the exact product 0.1 * 0.2**k
+        cfg = train_config_from_dict({
+            "seed": 8,
+            "dataset": {"kind": "blobs", "per_class": 10},
+            "train": {"epochs": 4, "batch_size": 32, "lr": 0.1, "lr_decay": 0.2, "lr_steps": [1, 2, 3]},
+            "method": {"name": "none"},
+        })
+        records = train(cfg).records
+        assert [r.lr for r in records] == [0.1 * 0.2 ** k for k in (0, 0, 1, 1, 2, 2, 3, 3)]
+        assert records[2].lr == pytest.approx(0.02, abs=1e-15)
 
     def test_fraction_and_imbalance_compose(self):
         cfg = train_config_from_dict({

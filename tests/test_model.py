@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -8,19 +9,7 @@ import pytest
 from icmix import container
 from icmix.losses import MixedScoreMatrix, loss_cc, loss_ci, loss_ic_joint, loss_mixup_ce
 from icmix.mixing import one_hot
-from icmix.model import (
-    DenseLayer,
-    ModelParams,
-    OptimizerState,
-    SgdConfig,
-    backward,
-    forward,
-    init_model,
-    load_checkpoint,
-    lr_for_epoch,
-    save_checkpoint,
-    sgd_step,
-)
+from icmix.model import ModelParams, backward, forward, init_model, load_checkpoint, save_checkpoint, sgd_step
 from icmix.numerics import RngState
 
 from oracles import backward_per_layer, fd_grad, max_rel_err, naive_forward_logits, scalar_rng, sgd_step_per_tensor
@@ -30,17 +19,23 @@ def _random_net(seed, input_dim, hidden_dims, num_classes):
     return init_model(input_dim, hidden_dims, num_classes, RngState(seed))
 
 
+def _linear(final_weights):
+    params = ModelParams(final_weights.shape)
+    params.final_weights[...] = final_weights
+    return params
+
+
 class TestForward:
     def test_zero_depth_is_linear(self):
         rng = RngState(1)
-        params = ModelParams([], rng.normals(12).reshape(4, 3))
+        params = _linear(rng.normals(12).reshape(4, 3))
         x = rng.normals(8).reshape(2, 4)
         cache = forward(params, x)
         assert np.array_equal(cache.logits, x @ params.final_weights)
         assert cache.features is cache.inputs
 
     def test_zero_weights_zero_logits(self):
-        params = ModelParams([DenseLayer(np.zeros((4, 5)), np.zeros(5))], np.zeros((5, 3)))
+        params = ModelParams([4, 5, 3])
         cache = forward(params, RngState(2).normals(8).reshape(2, 4))
         assert np.all(cache.logits == 0.0)
 
@@ -71,7 +66,7 @@ class TestBackward:
 
     def test_linear_model_outer_product(self):
         rng = RngState(10)
-        params = ModelParams([], rng.normals(12).reshape(4, 3))
+        params = _linear(rng.normals(12).reshape(4, 3))
         x = rng.normals(4).reshape(1, 4)
         g = rng.normals(3).reshape(1, 3)
         grads = backward(params, forward(params, x), g)
@@ -155,37 +150,25 @@ class TestEndToEndGradients:
 
 class TestSgd:
     def test_vanilla_step(self):
-        params = ModelParams([], np.ones((2, 2)))
-        state = OptimizerState(params, SgdConfig(lr=0.1, momentum=0.0, weight_decay=0.0))
-        g = np.full((2, 2), 0.5)
-        sgd_step(params, ModelParams([], g.copy()), state)
+        params = _linear(np.ones((2, 2)))
+        momentum = np.zeros_like(params.flat)
+        sgd_step(params, _linear(np.full((2, 2), 0.5)), momentum, lr=0.1, mu=0.0, weight_decay=0.0)
         assert np.max(np.abs(params.final_weights - (1.0 - 0.1 * 0.5))) < 1e-15
-
-    def test_lr_decay_crossing_boundary(self):
-        cfg = SgdConfig(lr=0.1, lr_decay=0.2, lr_steps=(50, 100, 150))
-        assert lr_for_epoch(cfg, 50) == 0.1
-        assert lr_for_epoch(cfg, 51) == 0.1 * 0.2
-        assert lr_for_epoch(cfg, 151) == 0.1 * 0.2 ** 3
-        params = ModelParams([], np.zeros((1, 1)))
-        state = OptimizerState(params, cfg)
-        state.set_epoch(51)
-        assert state.lr == pytest.approx(0.02, abs=1e-15)
 
     def test_two_momentum_steps_displacement(self):
         eta, g_val = 0.05, 0.3
-        params = ModelParams([], np.zeros((1, 1)))
-        state = OptimizerState(params, SgdConfig(lr=eta, momentum=0.9, weight_decay=0.0, lr_steps=()))
-        g = np.full((1, 1), g_val)
-        sgd_step(params, ModelParams([], g.copy()), state)
-        sgd_step(params, ModelParams([], g.copy()), state)
+        params = ModelParams([1, 1])
+        momentum = np.zeros_like(params.flat)
+        grads = _linear(np.full((1, 1), g_val))
+        sgd_step(params, grads, momentum, lr=eta, mu=0.9, weight_decay=0.0)
+        sgd_step(params, grads, momentum, lr=eta, mu=0.9, weight_decay=0.0)
         expected = -eta * g_val * (1.0 + 1.9)
         assert params.final_weights[0, 0] == pytest.approx(expected, abs=1e-15)
 
     def test_weight_decay_skips_biases(self):
-        params = ModelParams([DenseLayer(np.ones((1, 1)), np.ones(1))], np.ones((1, 1)))
-        state = OptimizerState(params, SgdConfig(lr=1.0, momentum=0.0, weight_decay=0.5, lr_steps=()))
-        zero = ModelParams([DenseLayer(np.zeros((1, 1)), np.zeros(1))], np.zeros((1, 1)))
-        sgd_step(params, zero, state)
+        params = ModelParams([1, 1, 1])
+        params.flat[:] = 1.0
+        sgd_step(params, ModelParams([1, 1, 1]), np.zeros_like(params.flat), lr=1.0, mu=0.0, weight_decay=0.5)
         assert params.hidden[0].w[0, 0] == pytest.approx(0.5)   # decayed
         assert params.hidden[0].b[0] == pytest.approx(1.0)      # untouched
         assert params.final_weights[0, 0] == pytest.approx(0.5)
@@ -203,28 +186,47 @@ class TestFlatLayout:
             assert p.num_decayed == sum(t.size for t in weights)
             assert np.array_equal(p.flat, np.concatenate([t.ravel() for t in weights + biases]))
 
+    @pytest.mark.parametrize("dims", [[5, 3], [5, 7, 3], [5, 7, 4, 3]])
+    def test_built_from_widths_starts_at_zero_with_views_of_flat(self, dims):
+        params = ModelParams(dims)
+        assert params.dims == dims and (params.input_dim, params.num_classes) == (dims[0], dims[-1])
+        assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+        assert np.all(params.flat == 0.0)
+        order = params.checkpoint_order()
+        assert [t.shape for t in order] == [s for k in range(len(dims) - 2)
+                                            for s in ((dims[k], dims[k + 1]), (dims[k + 1],))] + [tuple(dims[-2:])]
+        assert all(np.shares_memory(t, params.flat) for t in order)
+        if len(dims) == 2:  # no biases: weight decay covers the whole vector
+            assert params.num_decayed == params.flat.size == dims[0] * dims[1]
+
+    def test_given_flat_is_used_without_a_copy(self):
+        flat = np.arange(5 * 7 + 7 * 3 + 7, dtype=np.float64)
+        params = ModelParams([5, 7, 3], flat)
+        assert params.flat is flat
+        assert params.hidden[0].w[0, 1] == 1.0 and params.final_weights[0, 0] == 35.0 and params.hidden[0].b[0] == 56.0
+        with pytest.raises(ValueError, match=re.escape("widths [5, 7, 3] need (63,)")):
+            ModelParams([5, 7, 3], flat[:-1])
+
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
     def test_sgd_steps_bit_equal_per_tensor_oracle(self, momentum):
         params = _random_net(32, 5, [7, 4], 3)
-        cfg = SgdConfig(lr=0.05, momentum=momentum, weight_decay=1e-3, lr_steps=())
-        state = OptimizerState(params, cfg)
+        lr, weight_decay = 0.05, 1e-3
+        buffer = np.zeros_like(params.flat)
         names = [name for name, _ in _param_tensors(params)]
         ref = [t.copy() for _, t in _param_tensors(params)]
         ref_bufs = [np.zeros_like(t) for t in ref]
-        decays = [0.0 if name.endswith(".b") else cfg.weight_decay for name in names]
+        decays = [0.0 if name.endswith(".b") else weight_decay for name in names]
         rng = RngState(33)
         for step in range(5):
-            grads = params.empty_like()
-            grads.flat[:] = rng.normals(grads.flat.size)
+            grads = ModelParams(params.dims, rng.normals(params.flat.size))
             # unit 2 of hidden1 dies after one step: a zero weight column and a -0.0 bias gradient
             grads.hidden[1].b[2] = -0.5 if step == 0 else -0.0
             grads.hidden[1].w[:, 2] = 0.5 if step == 0 else 0.0
             grad_tensors = [t.copy() for _, t in _param_tensors(grads)]
-            sgd_step(params, grads, state)
-            sgd_step_per_tensor(ref, grad_tensors, ref_bufs, decays, cfg.lr, momentum)
+            sgd_step(params, grads, buffer, lr, momentum, weight_decay)
+            sgd_step_per_tensor(ref, grad_tensors, ref_bufs, decays, lr, momentum)
         assert np.array_equal(_bits(t for _, t in _param_tensors(params)), _bits(ref))
-        buffers = params.empty_like()  # the momentum vector, seen through the parameter layout
-        buffers.flat[:] = state.momentum
+        buffers = ModelParams(params.dims, buffer)  # the momentum vector, seen through the parameter layout
         assert np.array_equal(_bits(t for _, t in _param_tensors(buffers)), _bits(ref_bufs))
 
 
@@ -294,6 +296,50 @@ class TestCheckpoint:
         path.write_bytes(b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("arrays, message", [
+        ([(4, 5), (6,), (5, 3)], "array 1 has shape (6,), expected (5,)"),        # bias longer than its layer
+        ([(4,)], "array 0 has shape (4,), expected (4, 4)"),                       # 1-D final weights
+        ([(2, 3, 4)], "array 0 has shape (2, 3, 4), expected (2, 4)"),             # 3-D weight
+        ([(4, 5), (5,), (6, 3)], "array 2 has shape (6, 3), expected (5, 3)"),     # chain broken, 5 -> 6
+        ([(2, 0)], "layer widths [2, 0] must all be at least 1"),                  # zero classes
+        ([(4, 0), (0,), (0, 3)], "layer widths [4, 0, 3] must all be at least 1"),  # zero-width hidden layer
+        ([()], "layer widths [0, 0] must all be at least 1"),                      # 0-d weight
+        # no payload, yet widths 5 and 2**40 would ask for 40 TiB: rejected before allocating
+        ([(3, 5), (5,), (0, 2**40)], "array 2 has shape (0, 1099511627776), expected (5, 1099511627776)"),
+    ])
+    def test_hostile_shapes_rejected_with_the_path(self, tmp_path, arrays, message):
+        path = tmp_path / "crafted.bin"
+        table = b"".join(struct.pack(f"<I{len(shape)}Q", len(shape), *shape) for shape in arrays)
+        path.write_bytes(container.MAGIC + struct.pack("<IIQQI", container.VERSION, container.KIND_CHECKPOINT,
+                                                       len(arrays) // 2, 0, len(arrays))
+                         + table + bytes(8 * sum(math.prod(shape) for shape in arrays)))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_checkpoint(path)
+
+    def test_header_fuzz_loads_or_names_the_path(self, tmp_path):
+        params = _random_net(105, 4, [3], 2)
+        good = tmp_path / "good.bin"
+        save_checkpoint(params, good)
+        raw = good.read_bytes()
+        header = len(raw) - 8 * params.flat.size
+        cases = [raw[:n] for n in range(len(raw))]
+        cases += [raw[:i] + bytes([v]) + raw[i + 1:] for i in range(header) for v in (0, 1, 2, 0x7F, 0x80, 0xFF)]
+        path = tmp_path / "fuzz.bin"
+        outcomes = {"loaded": 0, "rejected": 0}
+        for data in cases:
+            path.write_bytes(data)
+            start = time.perf_counter()
+            try:
+                loaded = load_checkpoint(path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: "), exc
+                outcomes["rejected"] += 1
+            else:
+                assert np.array_equal(loaded.flat, params.flat)
+                outcomes["loaded"] += 1
+            assert time.perf_counter() - start < 1.0
+        assert (len(cases), outcomes) == (784, {"loaded": 116, "rejected": 668})
 
     @pytest.mark.parametrize("dims", [(2**32, 2**32), (2**63,), (2**63, 2**63, 3)])
     def test_huge_dims_rejected_by_length_check(self, tmp_path, dims):
