@@ -36,7 +36,7 @@ def write_container(path, kind: int, meta: tuple[int, int], arrays: list[np.ndar
     parts.append(struct.pack("<I", len(arrays)))
     payload = []
     for arr in arrays:
-        arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
+        arr = np.asarray(arr, dtype=np.float64, order="C")  # keeps a 0-d array 0-d
         parts.append(struct.pack("<I", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         payload.append(arr.astype("<f8", copy=False).tobytes())

@@ -23,7 +23,7 @@ from .data import Dataset, load_cifar, longtail_subsample, standardize, stratifi
 from .losses import MixedScoreMatrix, grad_w_cc, grad_w_ci, grad_w_mixup, loss_cc, loss_ci, loss_ic_joint, loss_mixup_ce, mixed_scores
 from .mixing import AXES, METHODS, MIN_ALPHA, REGMIXUP_METHODS, ClassHistogram, MixConfig, mix_batch, mix_weights, regmixup_compose
 from .model import ModelParams, backward, forward, init_model, save_checkpoint, sgd_step
-from .numerics import RngState, round_half_up, softmax_log_z
+from .numerics import BatchDraws, RngState, plan_batches, plan_epoch, round_half_up, softmax_log_z
 
 DATASET_KINDS = ("cifar10", "cifar100", "blobs")
 
@@ -280,12 +280,14 @@ class EvalMetrics:
     num_samples: int
 
 
+def _check_class_count(params: ModelParams, ds: Dataset) -> None:
+    if params.num_classes != ds.num_classes:
+        raise ValueError(f"model outputs {params.num_classes} classes but dataset has {ds.num_classes}")
+
+
 def evaluate(params: ModelParams, ds: Dataset) -> EvalMetrics:
     """Top-1 accuracy and mean cross-entropy against the original classes."""
-    if params.num_classes != ds.num_classes:
-        raise ValueError(
-            f"model outputs {params.num_classes} classes but dataset has {ds.num_classes}"
-        )
+    _check_class_count(params, ds)
     cache = forward(params, ds.images)
     predictions = np.argmax(cache.logits, axis=1)
     accuracy = float(np.mean(predictions == ds.labels))
@@ -295,14 +297,14 @@ def evaluate(params: ModelParams, ds: Dataset) -> EvalMetrics:
 
 
 def batch_loss_and_grads(params: ModelParams, method: MixConfig, inputs, labels,
-                         histogram: ClassHistogram, rng: RngState):
-    """One training objective evaluation: mix, forward, loss, backward.
+                         histogram: ClassHistogram, draws: BatchDraws | None):
+    """One training objective evaluation: mix (with ``draws``, see mix_batch), forward, loss, backward.
 
     Returns (loss value, parameter gradients, number of rows the loss
     averaged over). Contrastive methods score the batch against its own
     interpolated classifiers; the others use soft-label cross-entropy.
     """
-    mixed = mix_batch(inputs, labels, method, histogram, rng)
+    mixed = mix_batch(inputs, labels, method, histogram, draws)
     batch = regmixup_compose(inputs, labels, mixed) if method.regmixup else mixed
     cache = forward(params, batch.inputs)
     if method.contrastive:
@@ -382,6 +384,8 @@ def train(config: TrainConfig, out_dir=None) -> RunReport:
     spec = config.train
 
     keep_singletons = config.method.method == "none"
+    bounds = list(_epoch_batches(train_ds.size, spec.batch_size, keep_singletons))
+    alpha = None if keep_singletons else config.method.alpha
     step = 0  # SGD steps taken over the whole run
     records: list[EpochRecord] = []
     epoch_seconds: list[float] = []
@@ -390,14 +394,13 @@ def train(config: TrainConfig, out_dir=None) -> RunReport:
         t_epoch = time.perf_counter()
         # the base rate, decayed once for every schedule boundary already crossed
         lr = spec.lr * spec.lr_decay ** sum(1 for s in spec.lr_steps if epoch > s)
-        order = loop_rng.permutation(train_ds.size)
+        plan = plan_epoch(loop_rng, train_ds.size, bounds, alpha)
         loss_sum = 0.0
         rows = 0
-        for start, stop in _epoch_batches(train_ds.size, spec.batch_size, keep_singletons):
-            idx = order[start:stop]
+        for (start, stop), draws in zip(bounds, plan.batches):
+            idx = plan.order[start:stop]
             value, grads, n_rows = batch_loss_and_grads(
-                params, config.method, train_ds.images[idx], train_ds.labels[idx],
-                histogram, loop_rng,
+                params, config.method, train_ds.images[idx], train_ds.labels[idx], histogram, draws,
             )
             step += 1
             if not math.isfinite(value):
@@ -482,10 +485,7 @@ def analyze_interpolation(params: ModelParams, ds: Dataset, step: float, seed: i
     and the logit difference between the two source classes. Rows aggregate
     mean/std over pairs per lambda.
     """
-    if params.num_classes != ds.num_classes:
-        raise ValueError(
-            f"model outputs {params.num_classes} classes but dataset has {ds.num_classes}"
-        )
+    _check_class_count(params, ds)
     if not 0 < step <= 1:
         raise ValueError("step must be in (0, 1]")
     if not _SEED.ok(seed):
@@ -548,8 +548,7 @@ def _random_instance(rng: RngState, b: int, c: int, d: int):
     r = rng.normals(b * d).reshape(b, d)
     w = 0.7 * rng.normals(d * c).reshape(d, c)
     labels = np.array([rng.randbelow(c) for _ in range(b)], dtype=np.int64)
-    perm = rng.permutation(b)
-    lam = np.array([rng.sample_beta(1.0) for _ in range(b)], dtype=np.float64)
+    perm, lam = plan_batches(rng, [b], 1.0)[0]
     return r, w, mix_weights(labels, perm, lam, c)
 
 

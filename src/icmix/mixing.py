@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .numerics import RngState, matrix
+from .numerics import BatchDraws, matrix
 
 METHODS = ("none", "mixup", "ic_mixup", "regmixup", "ic_regmixup", "remix", "ic_remix")
 AXES = ("cc", "ci", "both")
@@ -154,19 +154,17 @@ def mix_batch(
     labels,
     config: MixConfig,
     histogram: ClassHistogram,
-    rng: RngState,
+    draws: BatchDraws | None,
 ) -> MixBatch:
     """Build a mixed batch by pairing the batch against a permutation of itself.
 
-    Each row i is interpolated with row perm[i] using its own Beta(alpha,
-    alpha) draw; label weights use the same ratio for mixup-style methods and
+    Row i is interpolated with row ``draws.partners[i]`` at its own Beta(alpha,
+    alpha) ratio ``draws.lambdas[i]``, as :func:`icmix.numerics.plan_epoch`
+    draws them; label weights use the same ratio for mixup-style methods and
     the remix rule for remix-style methods. Method "none" passes inputs
-    through unchanged with one-hot weights. For regmixup methods this builds
-    only the mixed half; compose with the clean batch via
-    :func:`regmixup_compose`.
-
-    Draw order is fixed (one permutation, then one lambda per row), so the
-    batch is fully determined by the generator state.
+    through unchanged with one-hot weights and needs no draws. For regmixup
+    methods this builds only the mixed half; compose with the clean batch
+    via :func:`regmixup_compose`.
     """
     inputs = matrix(inputs, name="inputs")
     labels = _checked_labels(labels, histogram.num_classes)
@@ -177,9 +175,9 @@ def mix_batch(
         return _clean(inputs, labels, histogram.num_classes)
     if b < 2:
         raise ValueError("batch too small to pair")
-
-    perm = rng.permutation(b)
-    lambdas = np.array([rng.sample_beta(config.alpha) for _ in range(b)], dtype=np.float64)
+    perm, lambdas = draws
+    if perm.shape != (b,) or lambdas.shape != (b,):
+        raise ValueError("draws must hold one partner and one ratio per row")
 
     lam_col = lambdas[:, None]
     mixed_inputs = lam_col * inputs + (1.0 - lam_col) * inputs[perm]

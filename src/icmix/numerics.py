@@ -6,13 +6,16 @@ coming in from files or initializers. The random generator is a hand-rolled
 xoshiro256++ so that draw sequences are reproducible bit for bit across
 platforms and processes, independent of any library version. Its bulk
 samplers step many jump-ahead lanes of the one stream at once with numpy,
-and draw exactly what the scalar samplers would.
+and draw exactly what the scalar samplers would. :func:`plan_epoch` draws a
+training epoch's shuffle, partner permutations and Beta(a, a) ratios ahead,
+exactly as the scalar loop would.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,9 +32,14 @@ _U64 = np.uint64
 _NIBBLE_SHIFTS = np.arange(0, 64, 4, dtype=np.uint64)
 # below this many raw draws, the scalar loop is faster than setting up lanes
 _BULK_MIN = 512
-# bulk normals draw at most this many candidate pairs at once, which keeps
-# their temporary arrays small
+# bulk normals draw at most this many candidate pairs at once, and bulk
+# permutations and plans at most twice as many raw draws, which keeps their
+# temporary arrays small
 _PAIRS_PER_ROUND = 4096
+_CHUNK = 2 * _PAIRS_PER_ROUND
+# a plan's first draw guesses this many raw draws per Beta(a, a) ratio; the
+# walk draws more whenever it runs out
+_DRAWS_PER_ROW = 8
 
 
 def matrix(data, name: str = "matrix") -> np.ndarray:
@@ -230,6 +238,20 @@ class RngState:
                 out[:, k + 1 - len(buf):k + 1] = buf.T
         return out.reshape(-1)[:n]
 
+    def _skip(self, count: int) -> None:
+        """Advance the state by ``count`` draws without returning them.
+
+        The low six bits of ``count`` are single steps; each higher set bit
+        is one jump by a power of two of the state transition.
+        """
+        for _ in range(count & 63):
+            self.next_uint64()
+        s = np.array([self._s], dtype=np.uint64)
+        for k in range(6, count.bit_length()):
+            if count >> k & 1:
+                s = _apply(_jump(k), s)
+        self._s = s[0].tolist()
+
     def random(self) -> float:
         """Uniform in [0, 1) with 53 random bits."""
         return (self.next_uint64() >> 11) * _INV_2_53
@@ -246,8 +268,21 @@ class RngState:
                 return r % n
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n), swapping i with randbelow(i + 1) for i = n-1 .. 1."""
-        moduli = np.arange(n, 1, -1, dtype=np.uint64)
+        """Fisher-Yates permutation of range(n), swapping i with randbelow(i + 1) for i = n-1 .. 1.
+
+        The swap partners are drawn at most ``_CHUNK`` at a time, so the
+        temporaries stay the same size whatever ``n``.
+        """
+        out = np.arange(n, dtype=np.int64)
+        idx = memoryview(out)
+        for top in range(n, 1, -_CHUNK):  # moduli top, top - 1, ..., above max(top - _CHUNK, 1)
+            picks = self._picks(np.arange(top, max(top - _CHUNK, 1), -1, dtype=np.uint64))
+            for i, j in zip(range(top - 1, 0, -1), memoryview(picks)):
+                idx[i], idx[j] = idx[j], idx[i]
+        return out
+
+    def _picks(self, moduli: np.ndarray) -> np.ndarray:
+        """``randbelow(m)`` for each m of ``moduli`` (uint64) in turn."""
         # randbelow(m) rejects r >= 2**64 - 2**64 % m, i.e. r > highest; when
         # m divides 2**64, highest is 2**64 - 1 and every draw is accepted
         highest = _U64(_MASK64) - (_U64(_MASK64) % moduli + _U64(1)) % moduli
@@ -260,14 +295,10 @@ class RngState:
             np.remainder(r[:stop], moduli[done:done + stop], out=picks[done:done + stop])
             done += stop
             if not rejected.size:
-                break
+                return picks
             # the rejected draw is spent: the draws after it serve the next
             # moduli, and one more draw keeps one per modulus left
             r = np.concatenate([r[stop + 1:], self._raw(1)])
-        idx = list(range(n))
-        for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
-            idx[i], idx[j] = idx[j], idx[i]
-        return np.array(idx, dtype=np.int64)
 
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` draws of :meth:`random`, in order."""
@@ -369,3 +400,190 @@ class RngState:
                     return lam
                 if lam == 0.0:
                     return _INV_2_53
+
+
+class BatchDraws(NamedTuple):
+    """One batch's mixing draws: a partner permutation of range(b) and b Beta ratios."""
+
+    partners: np.ndarray
+    lambdas: np.ndarray
+
+
+class EpochPlan(NamedTuple):
+    """An epoch's shuffle of range(n), and each batch's draws (None when unmixed)."""
+
+    order: np.ndarray
+    batches: list
+
+
+def plan_epoch(rng: RngState, n: int, batch_bounds, alpha: float | None) -> EpochPlan:
+    """Draw a training epoch ahead: its shuffle, then each batch's partners and ratios.
+
+    The draws, and the state ``rng`` is left in, are those of the scalar
+    loop: ``rng.permutation(n)``, then per batch (start, stop) of size b,
+    ``rng.permutation(b)`` and b calls of ``rng.sample_beta(alpha)``. With
+    ``alpha`` None the batches draw nothing (no mixing) and get None.
+    """
+    order = rng.permutation(n)
+    sizes = [stop - start for start, stop in batch_bounds]
+    if alpha is None:
+        return EpochPlan(order, [None] * len(sizes))
+    return EpochPlan(order, plan_batches(rng, sizes, alpha))
+
+
+def plan_batches(rng: RngState, sizes, alpha: float) -> list[BatchDraws]:
+    """For each size b in turn: ``rng.permutation(b)``, then b draws of ``rng.sample_beta(alpha)``.
+
+    Raw draws are taken in bulk, up to ``_CHUNK`` at a time, and numpy finds
+    every polar-method pair that is accepted. A Python walk then follows the
+    scalar samplers' path through them (see :func:`_walk`); every value that
+    decides a draw comes from the same IEEE operations as in the scalar
+    samplers. Draws the walk did not use are given back: the generator is
+    set to where the scalar loop would have left it, pending spare included.
+    """
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("invalid shape parameter")
+    sizes = [int(b) for b in sizes]
+    partners = np.empty(sum(sizes), dtype=np.int64)
+    lambdas = np.empty(sum(sizes), dtype=np.float64)
+    if sizes:
+        _walk(rng, sizes, float(alpha), partners, memoryview(lambdas))
+    bounds = np.cumsum([0] + sizes).tolist()
+    return [BatchDraws(partners[a:b], lambdas[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+_NONE = np.iinfo(np.int64).max  # no accepted polar pair in the window
+
+
+class _Window:
+    """The part of the raw stream the walk reads, with what numpy knows of it.
+
+    ``raw`` holds the draws, ``uni`` each one as :meth:`RngState.random`
+    would return it, and ``accepted[p]`` the first q >= p, q - p even, at
+    which the polar pair (uni[q], uni[q + 1]) is accepted, or ``_NONE``.
+    """
+
+    def __init__(self, rng: RngState):
+        self.rng = rng
+        self.raw = np.empty(0, dtype=np.uint64)
+        self.state = None  # the generator's state before the last chunk was drawn
+        self.carried = 0  # draws this window kept from the one before it
+
+    def advance(self, p: int, rows_left: int):
+        """Drop the draws before ``p`` and append a chunk; the walk goes on at 0."""
+        self.state = list(self.rng._s)
+        self.carried = self.raw.size - p
+        r = np.concatenate([self.raw[p:], self.rng._raw(min(_CHUNK, _DRAWS_PER_ROW * max(rows_left, 1)))])
+        self.raw = r
+        uni = (r >> _U64(11)).astype(np.float64)
+        uni *= _INV_2_53
+        w = uni * 2.0
+        w -= 1.0
+        w *= w
+        s = w[:-1] + w[1:]
+        candidates = np.where((0.0 < s) & (s < 1.0), np.arange(s.size), _NONE)
+        accepted = np.full(r.size + 1, _NONE, dtype=np.int64)
+        for parity in (0, 1):
+            accepted[parity:s.size:2] = np.minimum.accumulate(candidates[parity::2][::-1])[::-1]
+        return memoryview(r), memoryview(uni), memoryview(accepted), r.size, 0
+
+    def give_back(self, p: int) -> None:
+        """Set the generator to just after the draw before ``p``."""
+        if self.state is not None:
+            self.rng._s = self.state
+            self.rng._skip(p - self.carried)
+
+
+def _walk(rng: RngState, sizes: list[int], a: float, partners: np.ndarray, lambdas: memoryview) -> None:
+    """Fill ``partners`` and ``lambdas`` as the scalar loop of :func:`plan_batches` would.
+
+    The code follows ``randbelow``, ``normal``, ``_gamma`` and
+    ``sample_beta`` step by step, reading position ``p`` of the window
+    where they call ``next_uint64``. ``math.log``, ``math.sqrt`` and the
+    boost's ``**`` stay scalar calls, so each value is the scalar one.
+    """
+    span = _MASK64 + 1
+    limits = [span - span % m if m else 0 for m in range(max(sizes) + 1)]
+    boost = a < 1.0  # Gamma(a) = Gamma(a + 1) * U^(1/a) for a < 1
+    shape = a + 1.0 if boost else a
+    inv_a = 1.0 / a
+    d = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    log, sqrt, floor = math.log, math.sqrt, math.floor
+    window = _Window(rng)
+    raw = uni = ()
+    accepted = (_NONE,)  # an empty window: the first read draws a chunk
+    end = p = 0
+    spare = rng._spare_normal
+    rows_left = len(partners)
+    row = 0
+    for b in sizes:
+        perm = list(range(b))
+        for i in range(b - 1, 0, -1):
+            limit = limits[i + 1]
+            while True:
+                if p >= end:
+                    raw, uni, accepted, end, p = window.advance(p, rows_left)
+                r = raw[p]
+                p += 1
+                if r < limit:
+                    break
+            j = r % (i + 1)
+            perm[i], perm[j] = perm[j], perm[i]
+        partners[row:row + b] = perm
+        for _ in range(b):
+            while True:  # one Beta candidate: two gammas, then the ratio
+                g1 = -1.0
+                for _ in (0, 1):
+                    if boost:
+                        while True:
+                            if p >= end:
+                                raw, uni, accepted, end, p = window.advance(p, rows_left)
+                            ub = uni[p]
+                            p += 1
+                            if ub > 0.0:
+                                break
+                    while True:  # Marsaglia-Tsang
+                        if spare is None:
+                            q = accepted[p]
+                            while q >= end:
+                                raw, uni, accepted, end, p = window.advance(p, rows_left)
+                                q = accepted[p]
+                            wu = 2.0 * uni[q] - 1.0
+                            wv = 2.0 * uni[q + 1] - 1.0
+                            s = wu * wu + wv * wv
+                            f = sqrt(-2.0 * log(s) / s)
+                            spare = wv * f
+                            x = wu * f
+                            p = q + 2
+                        else:
+                            x = spare
+                            spare = None
+                        t = 1.0 + c * x
+                        if t <= 0.0:
+                            continue
+                        v = t * t * t
+                        if p >= end:
+                            raw, uni, accepted, end, p = window.advance(p, rows_left)
+                        u = uni[p]
+                        p += 1
+                        if u < 1.0 - 0.0331 * x * x * x * x:
+                            break
+                        if u == 0.0 or log(u) < 0.5 * x * x + d * (1.0 - v + log(v)):
+                            break
+                    g = d * v * ub ** inv_a if boost else d * v
+                    if g1 < 0.0:
+                        g1 = g
+                total = g1 + g
+                if total > 0.0 and 0.0 < g1 < total:
+                    lam = floor((g1 / total) * _TWO_53) * _INV_2_53
+                    if 0.0 < lam < 1.0:
+                        break
+                    if lam == 0.0:
+                        lam = _INV_2_53
+                        break
+            lambdas[row] = lam
+            row += 1
+            rows_left -= 1
+    window.give_back(p)
+    rng._spare_normal = spare

@@ -308,3 +308,22 @@ def per_row_regmixup_compose(clean_inputs, clean_labels, mixed, num_classes):
     clean_weights[np.arange(b), clean_labels] = 1.0
     clean = (clean_inputs, clean_weights, np.ones(b), np.stack([np.arange(b), np.arange(b)], axis=1))
     return tuple(np.concatenate([x, y]) for x, y in zip(clean, mixed))
+
+
+def scalar_epoch(rng, n, batch_bounds, alpha):
+    """One training epoch's loop draws, one scalar call at a time.
+
+    ``rng.permutation(n)``, then for each batch (start, stop) of size b,
+    ``rng.permutation(b)`` and b calls of ``rng.sample_beta(alpha)``; with
+    ``alpha`` None, the shuffle alone. Returns the order and, per batch,
+    (partners, lambdas) or None.
+    """
+    order = rng.permutation(n)
+    batches = []
+    for start, stop in batch_bounds:
+        if alpha is None:
+            batches.append(None)
+            continue
+        partners = rng.permutation(stop - start)
+        batches.append((partners, np.array([rng.sample_beta(alpha) for _ in range(stop - start)])))
+    return order, batches

@@ -27,7 +27,7 @@ from icmix.data import Dataset, synth_blobs
 from icmix.losses import MixedScoreMatrix, loss_cc
 from icmix.mixing import ClassHistogram, MixConfig, one_hot
 from icmix.model import ModelParams, forward, init_model, load_checkpoint, save_checkpoint
-from icmix.numerics import RngState
+from icmix.numerics import RngState, plan_batches
 
 from oracles import naive_hard_cross_entropy
 
@@ -470,8 +470,9 @@ class TestBatchObjective:
         values = {}
         for axes in ("both", "cc", "ci"):
             cfg = MixConfig(method="ic_mixup", alpha=0.2, axes=axes)
+            draws = plan_batches(RngState(33), [16], cfg.alpha)[0]
             value, _, _ = batch_loss_and_grads(
-                params, cfg, train_ds.images[:16], train_ds.labels[:16], hist, RngState(33))
+                params, cfg, train_ds.images[:16], train_ds.labels[:16], hist, draws)
             values[axes] = value
         assert values["both"] == values["cc"] + values["ci"]
 

@@ -12,23 +12,23 @@ from icmix.mixing import (
     remix_label_ratio,
 )
 from icmix.losses import loss_ic_joint, mixed_scores
-from icmix.numerics import RngState
+from icmix.numerics import BatchDraws, RngState, plan_batches
 
 from oracles import per_row_mix_batch, per_row_regmixup_compose
 
 
-class _ForcedLambdaRng:
-    """Real permutation stream, fixed interpolation ratio."""
+def _plan(rng, b, alpha=0.2):
+    """A one-batch plan: the draws of rng.permutation(b) and b rng.sample_beta(alpha) calls."""
+    return plan_batches(rng, [b], alpha)[0]
 
-    def __init__(self, seed, lam):
-        self._rng = RngState(seed)
-        self.lam = lam
 
-    def permutation(self, n):
-        return self._rng.permutation(n)
+def _draws(perm, lambdas):
+    return BatchDraws(np.array(perm), np.array(lambdas, dtype=np.float64))
 
-    def sample_beta(self, alpha):
-        return self.lam
+
+def _forced(seed, b, lam):
+    """A real partner permutation, every ratio ``lam``."""
+    return _draws(RngState(seed).permutation(b), [lam] * b)
 
 
 def _random_batch(rng, b, d, c):
@@ -56,7 +56,7 @@ def test_method_none_is_identity():
     rng = RngState(1)
     inputs, labels = _random_batch(rng, 5, 4, 3)
     hist = ClassHistogram.from_labels(labels, 3)
-    batch = mix_batch(inputs, labels, MixConfig(method="none"), hist, rng)
+    batch = mix_batch(inputs, labels, MixConfig(method="none"), hist, None)
     assert np.array_equal(batch.inputs, inputs)
     assert np.array_equal(batch.mix_weights, one_hot(labels, 3))
     assert np.all(batch.lambdas == 1.0)
@@ -64,11 +64,9 @@ def test_method_none_is_identity():
 
 
 def test_lambda_one_reproduces_clean_batch():
-    rng = _ForcedLambdaRng(2, 1.0)
-    real = RngState(3)
-    inputs, labels = _random_batch(real, 6, 4, 3)
+    inputs, labels = _random_batch(RngState(3), 6, 4, 3)
     hist = ClassHistogram.from_labels(labels, 3)
-    batch = mix_batch(inputs, labels, MixConfig(method="mixup"), hist, rng)
+    batch = mix_batch(inputs, labels, MixConfig(method="mixup"), hist, _forced(2, 6, 1.0))
     assert np.array_equal(batch.inputs, inputs)
     assert np.array_equal(batch.mix_weights, one_hot(labels, 3))
 
@@ -77,15 +75,7 @@ def test_halfway_mix_arithmetic():
     inputs = np.array([[0.0, 2.0], [2.0, 0.0]])
     labels = np.array([0, 1])
     hist = ClassHistogram.from_labels(labels, 2)
-
-    class _Rng:
-        def permutation(self, n):
-            return np.array([1, 0])
-
-        def sample_beta(self, alpha):
-            return 0.5
-
-    batch = mix_batch(inputs, labels, MixConfig(method="mixup"), hist, _Rng())
+    batch = mix_batch(inputs, labels, MixConfig(method="mixup"), hist, _draws([1, 0], [0.5, 0.5]))
     assert np.array_equal(batch.inputs, np.array([[1.0, 1.0], [1.0, 1.0]]))
     assert np.allclose(batch.mix_weights, 0.5)
 
@@ -94,7 +84,7 @@ def test_same_class_pair_weights_are_one_hot():
     inputs = np.array([[1.0, 0.0], [0.0, 1.0]])
     labels = np.array([1, 1])
     hist = ClassHistogram.from_labels(labels, 3)
-    batch = mix_batch(inputs, labels, MixConfig(method="mixup"), hist, RngState(4))
+    batch = mix_batch(inputs, labels, MixConfig(method="mixup"), hist, _plan(RngState(4), 2))
     assert np.array_equal(batch.mix_weights, one_hot(labels, 3))
 
 
@@ -102,7 +92,7 @@ def test_mixed_inputs_match_elementwise_oracle():
     rng = RngState(5)
     inputs, labels = _random_batch(rng, 8, 6, 4)
     hist = ClassHistogram.from_labels(labels, 4)
-    batch = mix_batch(inputs, labels, MixConfig(method="mixup", alpha=0.4), hist, RngState(6))
+    batch = mix_batch(inputs, labels, MixConfig(method="mixup", alpha=0.4), hist, _plan(RngState(6), 8, 0.4))
     for i in range(8):
         a, b = batch.pair_indices[i]
         lam = batch.lambdas[i]
@@ -116,7 +106,7 @@ def test_mix_weights_rows_sum_to_one_nonnegative():
     for method in ("mixup", "ic_mixup", "remix", "ic_remix", "regmixup"):
         inputs, labels = _random_batch(rng, 16, 3, 5)
         hist = ClassHistogram.from_labels(labels, 5)
-        batch = mix_batch(inputs, labels, MixConfig(method=method, alpha=0.2), hist, rng)
+        batch = mix_batch(inputs, labels, MixConfig(method=method, alpha=0.2), hist, _plan(rng, 16))
         assert np.all(batch.mix_weights >= 0.0)
         assert np.max(np.abs(batch.mix_weights.sum(axis=1) - 1.0)) < 1e-12
         # pairwise mixing: at most two nonzero entries per row
@@ -141,8 +131,8 @@ def test_pairing_deterministic_given_rng():
     inputs, labels = _random_batch(RngState(10), 12, 4, 3)
     hist = ClassHistogram.from_labels(labels, 3)
     cfg = MixConfig(method="mixup")
-    batch_a = mix_batch(inputs, labels, cfg, hist, rng_a)
-    batch_b = mix_batch(inputs, labels, cfg, hist, rng_b)
+    batch_a = mix_batch(inputs, labels, cfg, hist, _plan(rng_a, 12))
+    batch_b = mix_batch(inputs, labels, cfg, hist, _plan(rng_b, 12))
     assert np.array_equal(batch_a.pair_indices, batch_b.pair_indices)
     assert np.array_equal(batch_a.inputs, batch_b.inputs)
     assert np.array_equal(batch_a.lambdas, batch_b.lambdas)
@@ -153,9 +143,17 @@ def test_batch_too_small_to_pair():
     labels = np.array([0])
     hist = ClassHistogram.from_labels(labels, 2)
     with pytest.raises(ValueError, match="batch too small to pair"):
-        mix_batch(inputs, labels, MixConfig(method="mixup"), hist, RngState(11))
+        mix_batch(inputs, labels, MixConfig(method="mixup"), hist, _plan(RngState(11), 1))
     # but passthrough is fine
-    mix_batch(inputs, labels, MixConfig(method="none"), hist, RngState(11))
+    mix_batch(inputs, labels, MixConfig(method="none"), hist, None)
+
+
+def test_draws_must_match_the_batch():
+    inputs, labels = np.zeros((3, 2)), np.array([0, 1, 0])
+    hist = ClassHistogram.from_labels(labels, 2)
+    for draws in (_draws([1, 0], [0.5, 0.5]), _draws([1, 2, 0], [0.5, 0.5]), _plan(RngState(12), 4)):
+        with pytest.raises(ValueError, match="one partner and one ratio per row"):
+            mix_batch(inputs, labels, MixConfig(method="mixup"), hist, draws)
 
 
 class TestRemixRule:
@@ -187,15 +185,7 @@ def test_remix_batch_uses_histogram_counts():
     inputs = np.array([[1.0], [2.0]])
     labels = np.array([0, 1])
     hist = ClassHistogram(np.array([900, 100]))
-
-    class _Rng:
-        def permutation(self, n):
-            return np.array([1, 0])
-
-        def sample_beta(self, alpha):
-            return 0.25
-
-    batch = mix_batch(inputs, labels, MixConfig(method="remix"), hist, _Rng())
+    batch = mix_batch(inputs, labels, MixConfig(method="remix"), hist, _draws([1, 0], [0.25, 0.25]))
     # row 0: pair (class0, class1), ratio 9 >= kappa, lam 0.25 < tau -> weight on class 1
     assert np.array_equal(batch.mix_weights[0], np.array([0.0, 1.0]))
     # row 1: pair (class1, class0), ratio 1/9 <= 1/kappa, 1-lam 0.75 >= tau -> lam kept
@@ -225,7 +215,7 @@ class TestRegmixupCompose:
             inputs, labels = inputs[:b], labels[:b]
             hist = ClassHistogram.from_labels(labels, 3)
             if b >= 2:
-                mixed = mix_batch(inputs, labels, MixConfig(method="regmixup", alpha=20.0), hist, rng)
+                mixed = mix_batch(inputs, labels, MixConfig(method="regmixup", alpha=20.0), hist, _plan(rng, b, 20.0))
             else:
                 mixed = MixBatch(inputs, one_hot(labels, 3), np.ones(b), np.zeros((b, 2), dtype=np.int64))
             combo = regmixup_compose(inputs, labels, mixed)
@@ -242,7 +232,7 @@ class TestRegmixupCompose:
         rng = RngState(14)
         inputs, labels = _random_batch(rng, 5, 4, 3)
         hist = ClassHistogram.from_labels(labels, 3)
-        mixed = mix_batch(inputs, labels, MixConfig(method="regmixup"), hist, _ForcedLambdaRng(15, 1.0))
+        mixed = mix_batch(inputs, labels, MixConfig(method="regmixup"), hist, _forced(15, 5, 1.0))
         combo = regmixup_compose(inputs, labels, mixed)
 
         w = rng.normals(4 * 3).reshape(4, 3)
@@ -265,18 +255,18 @@ def _assert_same_batch(batch, expected):
     assert np.array_equal(batch.pair_indices, pairs)
 
 
-def _assert_matches_oracle(inputs, labels, config, counts, rng_a, rng_b):
-    """mix_batch and regmixup_compose equal the per-row formula bit for bit."""
+def _assert_matches_oracle(inputs, labels, config, counts, draws, rng):
+    """mix_batch with ``draws`` and regmixup_compose equal the per-row formula drawing from ``rng``, bit for bit."""
     hist = ClassHistogram(counts)
-    mixed = mix_batch(inputs, labels, config, hist, rng_a)
-    expected = per_row_mix_batch(inputs, labels, config, hist.counts, rng_b)
+    mixed = mix_batch(inputs, labels, config, hist, draws)
+    expected = per_row_mix_batch(inputs, labels, config, hist.counts, rng)
     _assert_same_batch(mixed, expected)
     combo = regmixup_compose(inputs, labels, mixed)
     _assert_same_batch(combo, per_row_regmixup_compose(inputs, labels, expected, hist.num_classes))
 
 
 class _ListRng:
-    """A fixed permutation, then the given lambdas one draw at a time."""
+    """A fixed permutation, then the given lambdas one draw at a time, for the oracle."""
 
     def __init__(self, perm, lambdas):
         self.perm = np.array(perm)
@@ -302,7 +292,8 @@ class TestPerRowOracle:
             counts = np.array([1 + rng.randbelow(1000) for _ in range(c)])
             config = MixConfig(method=method, alpha=(0.2, 1.0, 20.0)[trial % 3],
                                tau=rng.random(), kappa=1.0 + 4.0 * rng.random())
-            _assert_matches_oracle(inputs, labels, config, counts, RngState(seed), RngState(seed))
+            draws = None if method == "none" else _plan(RngState(seed), b, config.alpha)
+            _assert_matches_oracle(inputs, labels, config, counts, draws, RngState(seed))
 
     @pytest.mark.parametrize("method", ["remix", "ic_remix"])
     @pytest.mark.parametrize("tau,kappa", [(0.5, 3.0), (0.5, 1.0), (0.8, 1.0), (0.0, 1.0), (1.0, 3.0)])
@@ -315,21 +306,19 @@ class TestPerRowOracle:
         lambdas = [0.25, 0.8, 0.2, 0.9, tau, 1.0 - tau, 0.0, 1.0]
         inputs = RngState(21).normals(8 * 3).reshape(8, 3)
         config = MixConfig(method=method, tau=tau, kappa=kappa)
-        _assert_matches_oracle(inputs, labels, config, counts,
-                               _ListRng(perm, lambdas), _ListRng(perm, lambdas))
+        _assert_matches_oracle(inputs, labels, config, counts, _draws(perm, lambdas), _ListRng(perm, lambdas))
 
     def test_remix_snaps_to_zero_and_one(self):
         counts = ClassHistogram(np.array([900, 100]))
         labels = np.array([0, 1, 1, 0])
-        rng = _ListRng([1, 0, 3, 2], [0.25, 0.8, 0.8, 0.25])
-        batch = mix_batch(np.zeros((4, 2)), labels, MixConfig(method="remix"), counts, rng)
+        draws = _draws([1, 0, 3, 2], [0.25, 0.8, 0.8, 0.25])
+        batch = mix_batch(np.zeros((4, 2)), labels, MixConfig(method="remix"), counts, draws)
         # rows 0 and 3 snap to the rarer partner class, rows 1 and 2 to their own rarer class
         assert np.array_equal(batch.mix_weights, np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]))
 
     def test_clean_batch_of_one(self):
         inputs, labels = np.array([[0.5, -1.5]]), np.array([2])
-        _assert_matches_oracle(inputs, labels, MixConfig(method="none"), np.array([3, 1, 1]),
-                               RngState(0), RngState(0))
+        _assert_matches_oracle(inputs, labels, MixConfig(method="none"), np.array([3, 1, 1]), None, RngState(0))
 
 
 def test_remix_label_ratio_elementwise_equals_scalar():
@@ -353,4 +342,4 @@ def test_remix_label_ratio_elementwise_equals_scalar():
 def test_out_of_range_label_is_a_value_error(method, bad):
     hist = ClassHistogram(np.array([5, 5, 5]))
     with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
-        mix_batch(np.zeros((2, 2)), np.array([0, bad]), MixConfig(method=method), hist, RngState(0))
+        mix_batch(np.zeros((2, 2)), np.array([0, bad]), MixConfig(method=method), hist, _plan(RngState(0), 2))

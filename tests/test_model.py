@@ -341,6 +341,16 @@ class TestCheckpoint:
             assert time.perf_counter() - start < 1.0
         assert (len(cases), outcomes) == (784, {"loaded": 116, "rejected": 668})
 
+    def test_container_round_trips_0d_and_strided_arrays(self, tmp_path):
+        path = tmp_path / "arrays.bin"
+        arrays = [np.array(2.5), np.arange(12.0).reshape(3, 4)[:, ::2], np.ones((2, 0)), np.array([-0.0])]
+        container.write_container(path, container.KIND_CHECKPOINT, (1, 2), arrays)
+        kind, meta, got = container.read_container(path)
+        assert (kind, meta) == (container.KIND_CHECKPOINT, (1, 2))
+        assert [a.shape for a in got] == [(), (3, 2), (2, 0), (1,)]
+        for a, b in zip(got, arrays):
+            assert np.array_equal(a.view(np.uint64), np.asarray(b).view(np.uint64))
+
     @pytest.mark.parametrize("dims", [(2**32, 2**32), (2**63,), (2**63, 2**63, 3)])
     def test_huge_dims_rejected_by_length_check(self, tmp_path, dims):
         # int64 products of these dims wrap (to 0 for the first), which once let

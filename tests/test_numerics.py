@@ -2,15 +2,16 @@ import hashlib
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from icmix import numerics
-from icmix.numerics import RngState, matrix, softmax_log_z
+from icmix.numerics import RngState, matrix, plan_batches, plan_epoch, softmax_log_z
 
-from oracles import naive_log_sum_exp, naive_softmax_rows, scalar_rng
+from oracles import naive_log_sum_exp, naive_softmax_rows, scalar_epoch, scalar_rng
 
 
 def _log_z(values) -> float:
@@ -139,6 +140,8 @@ class TestRng:
         for alpha in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(ValueError, match="invalid shape parameter"):
                 rng.sample_beta(alpha)
+            with pytest.raises(ValueError, match="invalid shape parameter"):
+                plan_batches(rng, [2], alpha)
 
     def test_permutation_is_a_permutation(self):
         rng = RngState(21)
@@ -284,6 +287,181 @@ def test_golden_draw_digests(seed):
         "sample_beta": digest(betas, "<f8"),
     }
     assert got == GOLDEN[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN))
+def test_plan_reproduces_golden_beta_digest(seed):
+    # batches of one row draw no partners: only the Beta ratios
+    rng = RngState(seed)
+    lambdas = np.concatenate([draws.lambdas for alpha in (0.2, 1.0, 5.0)
+                              for draws in plan_batches(rng, [1] * 100, alpha)])
+    assert hashlib.sha256(lambdas.astype("<f8").tobytes()).hexdigest() == GOLDEN[seed]["sample_beta"]
+
+
+def _bounds(n, b):
+    return [(start, min(start + b, n)) for start in range(0, n, b)]
+
+
+# batch bounds as the training loop makes them: mixed batches of at least
+# two rows; unmixed ones keep a last batch of one row
+PLANS = {
+    "pairs": (9, _bounds(8, 2)),
+    # B=20 at regmixup: the draws are those of the 20-row mixed half
+    "regmixup_half": (50, _bounds(50, 20)),
+    # about 3000 * 7 raw draws at alpha 0.2, several chunks of numerics._CHUNK
+    "chunks": (3000, _bounds(3000, 64)),
+}
+
+
+def _assert_plan_is_scalar_loop(plan, expected):
+    order, batches = expected
+    assert plan.order.dtype == np.int64 and plan.order.tolist() == order.tolist()
+    assert len(plan.batches) == len(batches)
+    for got, want in zip(plan.batches, batches):
+        if want is None:
+            assert got is None
+            continue
+        assert got.partners.dtype == np.int64 and got.partners.tolist() == want[0].tolist()
+        assert np.array_equal(_bits(got.lambdas), _bits(want[1]))
+
+
+class TestEpochPlan:
+    """plan_epoch against the scalar loop it replaced, bit for bit, generator state included."""
+
+    @pytest.mark.parametrize("spare", [False, True], ids=["no_spare", "spare"])
+    @pytest.mark.parametrize("alpha", [1e-3, 0.2, 1.0, 20.0])
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_bit_equal_to_scalar_loop(self, name, alpha, spare):
+        n, bounds = PLANS[name]
+        for seed in (0, 2**64 - 1):
+            bulk, ref = RngState(seed), scalar_rng(seed)
+            if spare:  # the first normal leaves its pair's second value pending
+                assert bulk.normal() == ref.normal() and bulk._spare_normal is not None
+            plan = plan_epoch(bulk, n, bounds, alpha)
+            _assert_plan_is_scalar_loop(plan, scalar_epoch(ref, n, bounds, alpha))
+            assert bulk._s == ref._s and bulk._spare_normal == ref._spare_normal
+            # the generator goes on as the scalar one does
+            assert np.array_equal(_bits(bulk.normals(3)), _bits(ref.normals(3)))
+
+    @pytest.mark.parametrize("spare", [False, True], ids=["no_spare", "spare"])
+    def test_unmixed_plan_draws_only_the_shuffle(self, spare):
+        bulk, ref = RngState(5), scalar_rng(5)
+        if spare:
+            bulk.normal()
+            ref.normal()
+        bounds = _bounds(35, 17)
+        assert bounds[-1] == (34, 35)
+        plan = plan_epoch(bulk, 35, bounds, None)
+        _assert_plan_is_scalar_loop(plan, scalar_epoch(ref, 35, bounds, None))
+        assert bulk._s == ref._s and bulk._spare_normal == ref._spare_normal
+
+    def test_plans_in_a_row_and_scalar_draws_between(self):
+        bulk, ref = RngState(8), scalar_rng(8)
+        for n, b, alpha in ((100, 32, 0.2), (8, 2, 20.0), (64, 64, 1e-3), (40, 8, 1.0)):
+            bounds = _bounds(n, b)
+            _assert_plan_is_scalar_loop(plan_epoch(bulk, n, bounds, alpha), scalar_epoch(ref, n, bounds, alpha))
+            assert bulk.sample_beta(0.5) == ref.sample_beta(0.5)
+            assert bulk._s == ref._s and bulk._spare_normal == ref._spare_normal
+
+    @pytest.mark.parametrize("chunks", [1, 4])
+    def test_walk_ending_exactly_on_a_chunk_boundary(self, monkeypatch, chunks):
+        # the walk's raw draws are counted on the scalar loop; with a chunk of
+        # that count over `chunks`, and every draw a whole chunk, the last
+        # draw the walk uses is the last of its last chunk
+        n, bounds, alpha = 200, _bounds(200, 25), 0.2
+
+        def walk_draws(seed):
+            ref = scalar_rng(seed)
+            ref.permutation(n)
+            count = 0
+            step = ref.next_uint64
+
+            def counted():
+                nonlocal count
+                count += 1
+                return step()
+
+            ref.next_uint64 = counted
+            scalar_epoch(ref, 0, bounds, alpha)
+            return count
+
+        for seed in range(50):
+            used = walk_draws(seed)
+            if used % chunks == 0:
+                break
+        monkeypatch.setattr(numerics, "_CHUNK", used // chunks)
+        monkeypatch.setattr(numerics, "_DRAWS_PER_ROW", used)
+        drawn = []
+        bulk, ref = RngState(seed), scalar_rng(seed)
+        raw = bulk._raw
+        bulk._raw = lambda k: drawn.append(k) or raw(k)
+        plan = plan_epoch(bulk, n, bounds, alpha)
+        _assert_plan_is_scalar_loop(plan, scalar_epoch(ref, n, bounds, alpha))
+        assert bulk._s == ref._s and bulk._spare_normal == ref._spare_normal
+        # the shuffle's own draws, then exactly the chunks the walk used up
+        assert sum(drawn) == n - 1 + used and drawn[-chunks:] == [used // chunks] * chunks
+
+    @pytest.mark.parametrize("batch", [0, 2, 4])
+    def test_partners_with_draws_at_and_above_the_limit(self, batch):
+        # moduli 8, 7, ..., 2 per batch; randbelow(m) accepts r < 2**64 - 2**64 % m:
+        # m = 7 rejects top - 1 (its limit) and top, m = 6 rejects top - 3 and
+        # above, m = 5 and 3 reject top; 8, 4 and 2 divide 2**64 and accept all.
+        # Each accepted draw of the script picks j = i: the partners stay in order.
+        # Then three zeros: uniforms of 0.0, which the first ratio's boost redraws
+        top = 2**64 - 1
+        script = [top, top - 1, top - 2, top - 3, top - 4, top, top - 1, top, top, top - 1, top, 0, 0, 0]
+        n, bounds, alpha = 40, _bounds(40, 8), 0.2
+        stream = RngState(9)._raw(20000).tolist()
+
+        def feed(rng):
+            taken = [0]
+
+            def next_draw():
+                taken[0] += 1
+                return stream[taken[0] - 1]
+
+            rng.next_uint64 = next_draw
+            return taken
+
+        # the scalar loop's position when this batch's partner draws start
+        ref = scalar_rng(0)
+        taken = feed(ref)
+        starts = []
+        permutation = ref.permutation
+        ref.permutation = lambda k: starts.append(taken[0]) or permutation(k)
+        scalar_epoch(ref, n, bounds, alpha)
+        at = starts[1 + batch]  # starts[0] is the shuffle's
+        stream[at:at + len(script)] = script
+
+        bulk, ref = RngState(0), scalar_rng(0)
+        feed(ref)
+        bulk_draws = iter(stream)
+        bulk._raw = lambda k: np.array([next(bulk_draws) for _ in range(k)], dtype=np.uint64)
+        plan = plan_epoch(bulk, n, bounds, alpha)
+        expected = scalar_epoch(ref, n, bounds, alpha)
+        assert expected[1][batch][0].tolist() == list(range(8))
+        _assert_plan_is_scalar_loop(plan, expected)
+        assert bulk._spare_normal == ref._spare_normal
+
+    def test_memory_bounded_by_the_chunk(self):
+        # a 50000-row epoch at B=128: the plan's peak above its outputs is a
+        # few chunk-sized temporaries, whatever n; the shuffle that kept a
+        # Python list of n ints and a second list of n picks peaked 5 MB above
+        # its output alone
+        n = 50000
+        bounds = _bounds(n, 128)
+        rng = RngState(10)
+        plan_epoch(rng, 9000, _bounds(9000, 128), 0.2)  # the jump tables are cached once per process
+        tracemalloc.start()
+        try:
+            plan = plan_epoch(rng, n, bounds, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = plan.order.nbytes + sum(d.partners.nbytes + d.lambdas.nbytes for d in plan.batches)
+        assert outputs == 3 * 8 * n
+        margin = 16 * 8 * numerics._CHUNK  # 16 float64 arrays of one chunk: 1 MiB
+        assert peak - outputs < margin, (peak, outputs)
 
 
 @pytest.fixture(scope="module")
