@@ -23,7 +23,7 @@ from .data import Dataset, load_cifar, longtail_subsample, standardize, stratifi
 from .losses import MixedScoreMatrix, grad_w_cc, grad_w_ci, grad_w_mixup, loss_cc, loss_ci, loss_ic_joint, loss_mixup_ce, mixed_scores
 from .mixing import AXES, METHODS, MIN_ALPHA, REGMIXUP_METHODS, ClassHistogram, MixConfig, mix_batch, mix_weights, regmixup_compose
 from .model import ModelParams, backward, forward, init_model, save_checkpoint, sgd_step
-from .numerics import BatchDraws, RngState, plan_batches, plan_epoch, round_half_up, softmax_log_z
+from .numerics import BatchDraws, RngState, plan_epoch, round_half_up, softmax_log_z
 
 DATASET_KINDS = ("cifar10", "cifar100", "blobs")
 
@@ -524,6 +524,9 @@ def analyze_interpolation(params: ModelParams, ds: Dataset, step: float, seed: i
 
 
 GRADCHECK_SHAPES = tuple((b, c, d) for b in (2, 4, 8) for c in (3, 5) for d in (4, 7))
+_GRADCHECK_SEED = 20240
+_FD_STEP = 1e-5
+_CHAIN_TOL = 1e-10
 
 
 def _finite_diff(f, x: np.ndarray, step: float) -> np.ndarray:
@@ -548,7 +551,8 @@ def _random_instance(rng: RngState, b: int, c: int, d: int):
     r = rng.normals(b * d).reshape(b, d)
     w = 0.7 * rng.normals(d * c).reshape(d, c)
     labels = np.array([rng.randbelow(c) for _ in range(b)], dtype=np.int64)
-    perm, lam = plan_batches(rng, [b], 1.0)[0]
+    perm = rng.permutation(b)
+    lam = np.array([rng.sample_beta(1.0) for _ in range(b)])
     return r, w, mix_weights(labels, perm, lam, c)
 
 
@@ -577,8 +581,7 @@ class GradcheckReport:
         return out
 
 
-def gradcheck(instances: int = 100, tol: float = 1e-5, seed: int = 20240, shapes=GRADCHECK_SHAPES,
-              fd_step: float = 1e-5, chain_tol: float = 1e-10) -> GradcheckReport:
+def gradcheck(instances: int = 100, tol: float = 1e-5, shapes=GRADCHECK_SHAPES) -> GradcheckReport:
     """Verify analytic gradients against central finite differences.
 
     Checks d(loss)/d(logits) for all four objectives, and the closed-form
@@ -604,14 +607,14 @@ def gradcheck(instances: int = 100, tol: float = 1e-5, seed: int = 20240, shapes
     err_w_chain = {name: 0.0 for name in closed_fns}
     err_w_fd = {name: 0.0 for name in closed_fns}
 
-    root = RngState(seed)
+    root = RngState(_GRADCHECK_SEED)
     for i in range(instances):
         b, c, d = shapes[i % len(shapes)]
         r, w, y_tilde = _random_instance(root.derive(i), b, c, d)
         s = r @ w
         for name, fn in loss_fns.items():
             res = fn(s, y_tilde)
-            numeric = _finite_diff(lambda ss: fn(ss, y_tilde).value, s, fd_step)
+            numeric = _finite_diff(lambda ss: fn(ss, y_tilde).value, s, _FD_STEP)
             err_s[name] = max(err_s[name], _rel_err(res.grad_s, numeric))
         ms = mixed_scores(r, w, y_tilde)
         for name, fn in closed_fns.items():
@@ -619,10 +622,10 @@ def gradcheck(instances: int = 100, tol: float = 1e-5, seed: int = 20240, shapes
             res = loss_fns[name](s, y_tilde)
             chain = r.T @ res.grad_s
             err_w_chain[name] = max(err_w_chain[name], float(np.max(np.abs(closed + b * chain))))
-            numeric_w = _finite_diff(lambda ww: loss_fns[name]((r @ ww), y_tilde).value, w, fd_step)
+            numeric_w = _finite_diff(lambda ww: loss_fns[name]((r @ ww), y_tilde).value, w, _FD_STEP)
             err_w_fd[name] = max(err_w_fd[name], _rel_err(closed, -b * numeric_w))
 
     passed = (all(e <= tol for e in err_s.values())
-              and all(e <= chain_tol for e in err_w_chain.values())
+              and all(e <= _CHAIN_TOL for e in err_w_chain.values())
               and all(e <= tol for e in err_w_fd.values()))
-    return GradcheckReport(instances, tol, chain_tol, err_s, err_w_chain, err_w_fd, passed)
+    return GradcheckReport(instances, tol, _CHAIN_TOL, err_s, err_w_chain, err_w_fd, passed)

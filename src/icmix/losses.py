@@ -89,7 +89,7 @@ def mixed_scores(r: np.ndarray, w: np.ndarray, y_tilde: np.ndarray) -> MixedScor
     return MixedScoreMatrix.from_logits(r @ w, y_tilde)
 
 
-def _diagonal_ce(ms: MixedScoreMatrix, axis: int, name: str) -> LossResult:
+def _diagonal_ce(ms: MixedScoreMatrix, axis: int) -> LossResult:
     """Cross-entropy along ``axis`` of s_tilde with diagonal targets, from one exponential.
 
     Sums run along ``axis`` of s_tilde itself: a contiguous transpose would sum in another order.
@@ -97,8 +97,7 @@ def _diagonal_ce(ms: MixedScoreMatrix, axis: int, name: str) -> LossResult:
     z, log_z = softmax_log_z(ms.s_tilde, axis)
     z.flat[:: len(z) + 1] -= 1.0  # softmax minus the identity
     z /= len(z)
-    return LossResult(float(np.mean(log_z - np.diag(ms.s_tilde))), z @ ms.mix_weights,
-                      {"axis": name, f"log_z_{name}": log_z})
+    return LossResult(float(np.mean(log_z - np.diag(ms.s_tilde))), z @ ms.mix_weights)
 
 
 def loss_cc(ms: MixedScoreMatrix) -> LossResult:
@@ -106,7 +105,7 @@ def loss_cc(ms: MixedScoreMatrix) -> LossResult:
 
     Negatives are the other interpolated classes scored on the same sample.
     """
-    return _diagonal_ce(ms, axis=1, name="cc")
+    return _diagonal_ce(ms, axis=1)
 
 
 def loss_ci(ms: MixedScoreMatrix) -> LossResult:
@@ -115,7 +114,7 @@ def loss_ci(ms: MixedScoreMatrix) -> LossResult:
     Negatives are the other mixed samples scored with the same interpolated
     classifier; identical to loss_cc applied to s_tilde transposed.
     """
-    return _diagonal_ce(ms, axis=0, name="ci")
+    return _diagonal_ce(ms, axis=0)
 
 
 def loss_ic_joint(ms: MixedScoreMatrix, axes: str = "both") -> LossResult:
@@ -131,9 +130,7 @@ def loss_ic_joint(ms: MixedScoreMatrix, axes: str = "both") -> LossResult:
     if axes == "ci":
         return loss_ci(ms)
     cc, ci = loss_cc(ms), loss_ci(ms)
-    diagnostics = {"loss_cc": cc.value, "loss_ci": ci.value,
-                   "log_z_cc": cc.diagnostics["log_z_cc"], "log_z_ci": ci.diagnostics["log_z_ci"]}
-    return LossResult(cc.value + ci.value, cc.grad_s + ci.grad_s, diagnostics)
+    return LossResult(cc.value + ci.value, cc.grad_s + ci.grad_s, {"loss_cc": cc.value, "loss_ci": ci.value})
 
 
 def loss_mixup_ce(s: np.ndarray, y_tilde: np.ndarray) -> LossResult:
@@ -151,7 +148,7 @@ def loss_mixup_ce(s: np.ndarray, y_tilde: np.ndarray) -> LossResult:
     value = float(-np.sum(y_tilde * (s - log_z[:, None])) / b)
     p -= y_tilde
     p /= b
-    return LossResult(value, p, {"log_z": log_z})
+    return LossResult(value, p)
 
 
 def grad_w_mixup(r: np.ndarray, s: np.ndarray, y_tilde: np.ndarray) -> np.ndarray:

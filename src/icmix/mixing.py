@@ -8,6 +8,7 @@ mixed samples side by side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -47,12 +48,12 @@ class MixConfig:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.axes not in AXES:
             raise ValueError(f"unknown axes {self.axes!r}, expected one of {AXES}")
-        if not self.alpha >= MIN_ALPHA:
-            raise ValueError(f"alpha must be >= {MIN_ALPHA:g}")
+        if not MIN_ALPHA <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be >= {MIN_ALPHA:g} and finite")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must be in [0, 1]")
-        if not self.kappa >= 1.0:
-            raise ValueError("kappa must be >= 1")
+        if not 1.0 <= self.kappa < math.inf:
+            raise ValueError("kappa must be >= 1 and finite")
 
     @property
     def contrastive(self) -> bool:

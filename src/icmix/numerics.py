@@ -37,9 +37,6 @@ _BULK_MIN = 512
 # temporary arrays small
 _PAIRS_PER_ROUND = 4096
 _CHUNK = 2 * _PAIRS_PER_ROUND
-# a plan's first draw guesses this many raw draws per Beta(a, a) ratio; the
-# walk draws more whenever it runs out
-_DRAWS_PER_ROW = 8
 
 
 def matrix(data, name: str = "matrix") -> np.ndarray:
@@ -434,12 +431,12 @@ def plan_epoch(rng: RngState, n: int, batch_bounds, alpha: float | None) -> Epoc
 def plan_batches(rng: RngState, sizes, alpha: float) -> list[BatchDraws]:
     """For each size b in turn: ``rng.permutation(b)``, then b draws of ``rng.sample_beta(alpha)``.
 
-    Raw draws are taken in bulk, up to ``_CHUNK`` at a time, and numpy finds
-    every polar-method pair that is accepted. A Python walk then follows the
-    scalar samplers' path through them (see :func:`_walk`); every value that
-    decides a draw comes from the same IEEE operations as in the scalar
-    samplers. Draws the walk did not use are given back: the generator is
-    set to where the scalar loop would have left it, pending spare included.
+    Raw draws are taken in bulk, ``_CHUNK`` at a time, and numpy turns them
+    into uniforms. A Python walk then follows the scalar samplers' path
+    through them (see :func:`_walk`); every value that decides a draw comes
+    from the same IEEE operations as in the scalar samplers. Draws the walk
+    did not use are given back: the generator is set to where the scalar
+    loop would have left it, pending spare included.
     """
     if not 0.0 < alpha < math.inf:
         raise ValueError("invalid shape parameter")
@@ -452,15 +449,11 @@ def plan_batches(rng: RngState, sizes, alpha: float) -> list[BatchDraws]:
     return [BatchDraws(partners[a:b], lambdas[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
-_NONE = np.iinfo(np.int64).max  # no accepted polar pair in the window
-
-
 class _Window:
-    """The part of the raw stream the walk reads, with what numpy knows of it.
+    """The part of the raw stream the walk reads.
 
-    ``raw`` holds the draws, ``uni`` each one as :meth:`RngState.random`
-    would return it, and ``accepted[p]`` the first q >= p, q - p even, at
-    which the polar pair (uni[q], uni[q + 1]) is accepted, or ``_NONE``.
+    ``raw`` holds the draws and ``uni`` each one as :meth:`RngState.random`
+    would return it.
     """
 
     def __init__(self, rng: RngState):
@@ -469,23 +462,15 @@ class _Window:
         self.state = None  # the generator's state before the last chunk was drawn
         self.carried = 0  # draws this window kept from the one before it
 
-    def advance(self, p: int, rows_left: int):
-        """Drop the draws before ``p`` and append a chunk; the walk goes on at 0."""
+    def advance(self, p: int):
+        """Drop the draws before ``p`` and append one ``_CHUNK``; the walk goes on at 0."""
         self.state = list(self.rng._s)
         self.carried = self.raw.size - p
-        r = np.concatenate([self.raw[p:], self.rng._raw(min(_CHUNK, _DRAWS_PER_ROW * max(rows_left, 1)))])
+        r = np.concatenate([self.raw[p:], self.rng._raw(_CHUNK)])
         self.raw = r
         uni = (r >> _U64(11)).astype(np.float64)
         uni *= _INV_2_53
-        w = uni * 2.0
-        w -= 1.0
-        w *= w
-        s = w[:-1] + w[1:]
-        candidates = np.where((0.0 < s) & (s < 1.0), np.arange(s.size), _NONE)
-        accepted = np.full(r.size + 1, _NONE, dtype=np.int64)
-        for parity in (0, 1):
-            accepted[parity:s.size:2] = np.minimum.accumulate(candidates[parity::2][::-1])[::-1]
-        return memoryview(r), memoryview(uni), memoryview(accepted), r.size, 0
+        return memoryview(r), memoryview(uni), r.size, 0
 
     def give_back(self, p: int) -> None:
         """Set the generator to just after the draw before ``p``."""
@@ -512,10 +497,8 @@ def _walk(rng: RngState, sizes: list[int], a: float, partners: np.ndarray, lambd
     log, sqrt, floor = math.log, math.sqrt, math.floor
     window = _Window(rng)
     raw = uni = ()
-    accepted = (_NONE,)  # an empty window: the first read draws a chunk
     end = p = 0
     spare = rng._spare_normal
-    rows_left = len(partners)
     row = 0
     for b in sizes:
         perm = list(range(b))
@@ -523,7 +506,7 @@ def _walk(rng: RngState, sizes: list[int], a: float, partners: np.ndarray, lambd
             limit = limits[i + 1]
             while True:
                 if p >= end:
-                    raw, uni, accepted, end, p = window.advance(p, rows_left)
+                    raw, uni, end, p = window.advance(p)
                 r = raw[p]
                 p += 1
                 if r < limit:
@@ -538,24 +521,25 @@ def _walk(rng: RngState, sizes: list[int], a: float, partners: np.ndarray, lambd
                     if boost:
                         while True:
                             if p >= end:
-                                raw, uni, accepted, end, p = window.advance(p, rows_left)
+                                raw, uni, end, p = window.advance(p)
                             ub = uni[p]
                             p += 1
                             if ub > 0.0:
                                 break
                     while True:  # Marsaglia-Tsang
                         if spare is None:
-                            q = accepted[p]
-                            while q >= end:
-                                raw, uni, accepted, end, p = window.advance(p, rows_left)
-                                q = accepted[p]
-                            wu = 2.0 * uni[q] - 1.0
-                            wv = 2.0 * uni[q + 1] - 1.0
-                            s = wu * wu + wv * wv
+                            while True:  # Marsaglia polar
+                                while p + 1 >= end:
+                                    raw, uni, end, p = window.advance(p)
+                                wu = 2.0 * uni[p] - 1.0
+                                wv = 2.0 * uni[p + 1] - 1.0
+                                p += 2
+                                s = wu * wu + wv * wv
+                                if 0.0 < s < 1.0:
+                                    break
                             f = sqrt(-2.0 * log(s) / s)
                             spare = wv * f
                             x = wu * f
-                            p = q + 2
                         else:
                             x = spare
                             spare = None
@@ -564,7 +548,7 @@ def _walk(rng: RngState, sizes: list[int], a: float, partners: np.ndarray, lambd
                             continue
                         v = t * t * t
                         if p >= end:
-                            raw, uni, accepted, end, p = window.advance(p, rows_left)
+                            raw, uni, end, p = window.advance(p)
                         u = uni[p]
                         p += 1
                         if u < 1.0 - 0.0331 * x * x * x * x:
@@ -584,6 +568,5 @@ def _walk(rng: RngState, sizes: list[int], a: float, partners: np.ndarray, lambd
                         break
             lambdas[row] = lam
             row += 1
-            rows_left -= 1
     window.give_back(p)
     rng._spare_normal = spare

@@ -44,10 +44,14 @@ def test_mix_config_validation():
         MixConfig(alpha=0.0)
     with pytest.raises(ValueError, match="alpha must be >= 0.001"):
         MixConfig(alpha=1e-4)
+    with pytest.raises(ValueError, match="alpha must be >= 0.001 and finite"):
+        MixConfig(method="mixup", alpha=float("inf"))
     with pytest.raises(ValueError, match="tau"):
         MixConfig(tau=1.5)
     with pytest.raises(ValueError, match="kappa"):
         MixConfig(kappa=0.5)
+    with pytest.raises(ValueError, match="kappa must be >= 1 and finite"):
+        MixConfig(method="remix", kappa=float("inf"))
     with pytest.raises(ValueError, match="unknown axes"):
         MixConfig(axes="rows")
 

@@ -325,6 +325,32 @@ def _assert_plan_is_scalar_loop(plan, expected):
         assert np.array_equal(_bits(got.lambdas), _bits(want[1]))
 
 
+class _Fed(RngState):
+    """Raw draws read from a list in turn; the state is the position in the list."""
+
+    def __init__(self, stream):
+        super().__init__(0)
+        self.stream = stream
+        self._s = [0]
+
+    def next_uint64(self):
+        self._s = [self._s[0] + 1]
+        return self.stream[self._s[0] - 1]
+
+    def _raw(self, n):
+        return np.array([self.next_uint64() for _ in range(n)], dtype=np.uint64)
+
+    def _skip(self, count):
+        self._s = [self._s[0] + count]
+
+
+def _scalar_fed(stream):
+    """The scalar loop's generator reading ``stream``, and the ``_Fed`` that holds its position."""
+    ref, fed = scalar_rng(0), _Fed(stream)
+    ref.next_uint64 = fed.next_uint64
+    return ref, fed
+
+
 class TestEpochPlan:
     """plan_epoch against the scalar loop it replaced, bit for bit, generator state included."""
 
@@ -390,7 +416,6 @@ class TestEpochPlan:
             if used % chunks == 0:
                 break
         monkeypatch.setattr(numerics, "_CHUNK", used // chunks)
-        monkeypatch.setattr(numerics, "_DRAWS_PER_ROW", used)
         drawn = []
         bulk, ref = RngState(seed), scalar_rng(seed)
         raw = bulk._raw
@@ -413,35 +438,46 @@ class TestEpochPlan:
         n, bounds, alpha = 40, _bounds(40, 8), 0.2
         stream = RngState(9)._raw(20000).tolist()
 
-        def feed(rng):
-            taken = [0]
-
-            def next_draw():
-                taken[0] += 1
-                return stream[taken[0] - 1]
-
-            rng.next_uint64 = next_draw
-            return taken
-
         # the scalar loop's position when this batch's partner draws start
-        ref = scalar_rng(0)
-        taken = feed(ref)
+        ref, fed = _scalar_fed(stream)
         starts = []
         permutation = ref.permutation
-        ref.permutation = lambda k: starts.append(taken[0]) or permutation(k)
+        ref.permutation = lambda k: starts.append(fed._s[0]) or permutation(k)
         scalar_epoch(ref, n, bounds, alpha)
         at = starts[1 + batch]  # starts[0] is the shuffle's
         stream[at:at + len(script)] = script
 
-        bulk, ref = RngState(0), scalar_rng(0)
-        feed(ref)
-        bulk_draws = iter(stream)
-        bulk._raw = lambda k: np.array([next(bulk_draws) for _ in range(k)], dtype=np.uint64)
+        bulk, (ref, fed) = _Fed(stream), _scalar_fed(stream)
         plan = plan_epoch(bulk, n, bounds, alpha)
         expected = scalar_epoch(ref, n, bounds, alpha)
         assert expected[1][batch][0].tolist() == list(range(8))
         _assert_plan_is_scalar_loop(plan, expected)
-        assert bulk._spare_normal == ref._spare_normal
+        assert bulk._s == fed._s and bulk._spare_normal == ref._spare_normal
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_small_chunks_and_rejected_polar_pairs(self, monkeypatch, chunk):
+        # chunks this small end inside polar pairs at every alignment; where the
+        # scalar loop starts a polar pair in batch 2, the stream holds three
+        # pairs it rejects: uniforms (0.5, 0.5), s == 0; (0.5, 0.0), s == 1
+        # exactly; and (1 - 2**-53, 1 - 2**-53), s > 1
+        script = [2**63, 2**63, 2**63, 0, 2**64 - 1, 2**64 - 1]
+        n, bounds, alpha = 24, _bounds(24, 8), 0.2
+        stream = RngState(12)._raw(5000).tolist()
+
+        ref, fed = _scalar_fed(stream)
+        starts, pairs = [], []
+        permutation, normal = ref.permutation, ref.normal
+        ref.permutation = lambda k: starts.append(fed._s[0]) or permutation(k)
+        ref.normal = lambda: (ref._spare_normal is None and pairs.append(fed._s[0])) or normal()
+        scalar_epoch(ref, n, bounds, alpha)
+        at = next(q for q in pairs if q > starts[3])  # starts[0] is the shuffle's
+        stream[at:at + len(script)] = script
+
+        monkeypatch.setattr(numerics, "_CHUNK", chunk)
+        bulk, (ref, fed) = _Fed(stream), _scalar_fed(stream)
+        plan = plan_epoch(bulk, n, bounds, alpha)
+        _assert_plan_is_scalar_loop(plan, scalar_epoch(ref, n, bounds, alpha))
+        assert bulk._s == fed._s and bulk._spare_normal == ref._spare_normal
 
     def test_memory_bounded_by_the_chunk(self):
         # a 50000-row epoch at B=128: the plan's peak above its outputs is a
