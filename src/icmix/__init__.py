@@ -54,6 +54,6 @@ from .model import (
     save_checkpoint,
     sgd_step,
 )
-from .numerics import BatchDraws, EpochPlan, RngState, matrix, plan_batches, plan_epoch, softmax_log_z
+from .numerics import RngState, matrix, plan_epoch, softmax_log_z
 
 __version__ = "0.1.0"

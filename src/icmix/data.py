@@ -24,17 +24,15 @@ SPLITS = ("train", "test")
 _CIFAR = {
     "cifar10": {
         "label_bytes": 1,
-        "fine_label_offset": 0,
         "num_classes": 10,
         "files": {
             "train": [f"data_batch_{i}.bin" for i in range(1, 6)],
             "test": ["test_batch.bin"],
         },
-        "records_per_file": 10000,
+        "records_per_file": {"train": 10000, "test": 10000},
     },
     "cifar100": {
         "label_bytes": 2,  # coarse label first, fine label second
-        "fine_label_offset": 1,
         "num_classes": 100,
         "files": {"train": ["train.bin"], "test": ["test.bin"]},
         "records_per_file": {"train": 50000, "test": 10000},
@@ -110,9 +108,7 @@ def load_cifar(path, variant: str, split: str) -> Dataset:
         raise ValueError(f"split must be one of {SPLITS}")
     spec = _CIFAR[variant]
     record_len = spec["label_bytes"] + _PIXELS
-    per_file = spec["records_per_file"]
-    if isinstance(per_file, dict):
-        per_file = per_file[split]
+    per_file = spec["records_per_file"][split]
 
     base = Path(path)
     names = spec["files"][split]
@@ -132,7 +128,7 @@ def load_cifar(path, variant: str, split: str) -> Dataset:
         if read != expected:
             raise DatasetFileError(f"{fp}: expected {expected} bytes, read {read}")
 
-    labels = records[:, spec["fine_label_offset"]].astype(np.int64)
+    labels = records[:, spec["label_bytes"] - 1].astype(np.int64)  # the (fine) label is the last label byte
     return Dataset(records[:, spec["label_bytes"]:], labels, spec["num_classes"], split, channels=3)
 
 
@@ -227,15 +223,15 @@ def _float_images(ds: Dataset) -> np.ndarray:
     return out
 
 
-def standardize(train: Dataset, test: Dataset | None = None):
+def standardize(train: Dataset, test: Dataset):
     """Shift/scale each channel to mean 0, stddev 1 using training statistics.
 
     The test split is transformed with the statistics fitted on the training
     split, never its own. Each split is converted to float64 once and then
-    transformed in place. Returns (train, test) with test possibly None.
+    transformed in place. Returns (train, test).
     """
     n, d = train.images.shape
-    if test is not None and (test.channels != train.channels or test.images.shape[1] != d):
+    if test.channels != train.channels or test.images.shape[1] != d:
         raise ValueError("train and test layouts disagree")
     width = d // train.channels
     train_x = _float_images(train)
@@ -251,4 +247,4 @@ def standardize(train: Dataset, test: Dataset | None = None):
         shaped /= std[None, :, None]
         return replace(ds, images=x)
 
-    return apply(train, train_x), (apply(test, _float_images(test)) if test is not None else None)
+    return apply(train, train_x), apply(test, _float_images(test))

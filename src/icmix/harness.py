@@ -23,7 +23,7 @@ from .data import Dataset, load_cifar, longtail_subsample, standardize, stratifi
 from .losses import MixedScoreMatrix, grad_w_cc, grad_w_ci, grad_w_mixup, loss_cc, loss_ci, loss_ic_joint, loss_mixup_ce, mixed_scores
 from .mixing import AXES, METHODS, MIN_ALPHA, REGMIXUP_METHODS, ClassHistogram, MixConfig, mix_batch, mix_weights, regmixup_compose
 from .model import ModelParams, backward, forward, init_model, save_checkpoint, sgd_step
-from .numerics import BatchDraws, RngState, plan_epoch, round_half_up, softmax_log_z
+from .numerics import RngState, plan_epoch, round_half_up, softmax_log_z
 
 DATASET_KINDS = ("cifar10", "cifar100", "blobs")
 
@@ -297,7 +297,7 @@ def evaluate(params: ModelParams, ds: Dataset) -> EvalMetrics:
 
 
 def batch_loss_and_grads(params: ModelParams, method: MixConfig, inputs, labels,
-                         histogram: ClassHistogram, draws: BatchDraws | None):
+                         histogram: ClassHistogram, draws: tuple[np.ndarray, np.ndarray] | None):
     """One training objective evaluation: mix (with ``draws``, see mix_batch), forward, loss, backward.
 
     Returns (loss value, parameter gradients, number of rows the loss
@@ -394,13 +394,14 @@ def train(config: TrainConfig, out_dir=None) -> RunReport:
         t_epoch = time.perf_counter()
         # the base rate, decayed once for every schedule boundary already crossed
         lr = spec.lr * spec.lr_decay ** sum(1 for s in spec.lr_steps if epoch > s)
-        plan = plan_epoch(loop_rng, train_ds.size, bounds, alpha)
+        order, partners, lambdas = plan_epoch(loop_rng, train_ds.size, bounds, alpha)
         loss_sum = 0.0
         rows = 0
-        for (start, stop), draws in zip(bounds, plan.batches):
-            idx = plan.order[start:stop]
+        for start, stop in bounds:
+            idx = order[start:stop]
             value, grads, n_rows = batch_loss_and_grads(
-                params, config.method, train_ds.images[idx], train_ds.labels[idx], histogram, draws,
+                params, config.method, train_ds.images[idx], train_ds.labels[idx], histogram,
+                (partners[start:stop], lambdas[start:stop]),
             )
             step += 1
             if not math.isfinite(value):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .numerics import BatchDraws, matrix
+from .numerics import matrix
 
 METHODS = ("none", "mixup", "ic_mixup", "regmixup", "ic_regmixup", "remix", "ic_remix")
 AXES = ("cc", "ci", "both")
@@ -48,6 +48,9 @@ class MixConfig:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.axes not in AXES:
             raise ValueError(f"unknown axes {self.axes!r}, expected one of {AXES}")
+        for name in ("alpha", "tau", "kappa"):
+            if isinstance(getattr(self, name), bool):  # the schema takes no bool for a number either
+                raise ValueError(f"{name} must be a number, not a bool")
         if not MIN_ALPHA <= self.alpha < math.inf:
             raise ValueError(f"alpha must be >= {MIN_ALPHA:g} and finite")
         if not 0.0 <= self.tau <= 1.0:
@@ -155,17 +158,17 @@ def mix_batch(
     labels,
     config: MixConfig,
     histogram: ClassHistogram,
-    draws: BatchDraws | None,
+    draws: tuple[np.ndarray, np.ndarray] | None,
 ) -> MixBatch:
     """Build a mixed batch by pairing the batch against a permutation of itself.
 
-    Row i is interpolated with row ``draws.partners[i]`` at its own Beta(alpha,
-    alpha) ratio ``draws.lambdas[i]``, as :func:`icmix.numerics.plan_epoch`
-    draws them; label weights use the same ratio for mixup-style methods and
-    the remix rule for remix-style methods. Method "none" passes inputs
-    through unchanged with one-hot weights and needs no draws. For regmixup
-    methods this builds only the mixed half; compose with the clean batch
-    via :func:`regmixup_compose`.
+    ``draws`` is a (partners, lambdas) pair: row i is interpolated with row
+    ``partners[i]`` at its own Beta(alpha, alpha) ratio ``lambdas[i]``, as
+    :func:`icmix.numerics.plan_epoch` draws them; label weights use the same
+    ratio for mixup-style methods and the remix rule for remix-style methods.
+    Method "none" passes inputs through unchanged with one-hot weights and
+    needs no draws. For regmixup methods this builds only the mixed half;
+    compose with the clean batch via :func:`regmixup_compose`.
     """
     inputs = matrix(inputs, name="inputs")
     labels = _checked_labels(labels, histogram.num_classes)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -399,54 +398,31 @@ class RngState:
                     return _INV_2_53
 
 
-class BatchDraws(NamedTuple):
-    """One batch's mixing draws: a partner permutation of range(b) and b Beta ratios."""
+def plan_epoch(rng: RngState, n: int, batch_bounds, alpha: float | None):
+    """Draw a training epoch ahead: ``(order, partners, lambdas)``.
 
-    partners: np.ndarray
-    lambdas: np.ndarray
-
-
-class EpochPlan(NamedTuple):
-    """An epoch's shuffle of range(n), and each batch's draws (None when unmixed)."""
-
-    order: np.ndarray
-    batches: list
-
-
-def plan_epoch(rng: RngState, n: int, batch_bounds, alpha: float | None) -> EpochPlan:
-    """Draw a training epoch ahead: its shuffle, then each batch's partners and ratios.
-
-    The draws, and the state ``rng`` is left in, are those of the scalar
-    loop: ``rng.permutation(n)``, then per batch (start, stop) of size b,
-    ``rng.permutation(b)`` and b calls of ``rng.sample_beta(alpha)``. With
-    ``alpha`` None the batches draw nothing (no mixing) and get None.
-    """
-    order = rng.permutation(n)
-    sizes = [stop - start for start, stop in batch_bounds]
-    if alpha is None:
-        return EpochPlan(order, [None] * len(sizes))
-    return EpochPlan(order, plan_batches(rng, sizes, alpha))
-
-
-def plan_batches(rng: RngState, sizes, alpha: float) -> list[BatchDraws]:
-    """For each size b in turn: ``rng.permutation(b)``, then b draws of ``rng.sample_beta(alpha)``.
+    ``order`` is ``rng.permutation(n)``. Then, for each batch (start, stop)
+    of size b in turn, ``partners[start:stop]`` is ``rng.permutation(b)`` and
+    ``lambdas[start:stop]`` holds b draws of ``rng.sample_beta(alpha)``; the
+    bounds run on from 0, as the training loop makes them. With ``alpha``
+    None the batches draw nothing (no mixing) and both arrays are empty.
 
     Raw draws are taken in bulk, ``_CHUNK`` at a time, and numpy turns them
     into uniforms. A Python walk then follows the scalar samplers' path
     through them (see :func:`_walk`); every value that decides a draw comes
     from the same IEEE operations as in the scalar samplers. Draws the walk
-    did not use are given back: the generator is set to where the scalar
-    loop would have left it, pending spare included.
+    did not use are given back: the generator is left where the scalar loop
+    would have left it, pending spare included.
     """
-    if not 0.0 < alpha < math.inf:
+    if alpha is not None and not 0.0 < alpha < math.inf:
         raise ValueError("invalid shape parameter")
-    sizes = [int(b) for b in sizes]
+    order = rng.permutation(n)
+    sizes = [] if alpha is None else [stop - start for start, stop in batch_bounds]
     partners = np.empty(sum(sizes), dtype=np.int64)
     lambdas = np.empty(sum(sizes), dtype=np.float64)
     if sizes:
         _walk(rng, sizes, float(alpha), partners, memoryview(lambdas))
-    bounds = np.cumsum([0] + sizes).tolist()
-    return [BatchDraws(partners[a:b], lambdas[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return order, partners, lambdas
 
 
 class _Window:
@@ -480,7 +456,7 @@ class _Window:
 
 
 def _walk(rng: RngState, sizes: list[int], a: float, partners: np.ndarray, lambdas: memoryview) -> None:
-    """Fill ``partners`` and ``lambdas`` as the scalar loop of :func:`plan_batches` would.
+    """Fill ``partners`` and ``lambdas`` as the scalar loop of :func:`plan_epoch` would.
 
     The code follows ``randbelow``, ``normal``, ``_gamma`` and
     ``sample_beta`` step by step, reading position ``p`` of the window

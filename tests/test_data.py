@@ -251,7 +251,8 @@ class TestSynthBlobs:
 class TestStandardize:
     def test_train_channels_zero_mean_unit_std(self, cifar10_dir):
         train = load_cifar(cifar10_dir, "cifar10", "test")  # smaller split as the fit set
-        train_std, _ = standardize(train, None)
+        test = Dataset(train.images[:5], train.labels[:5], train.num_classes, "test", channels=3)
+        train_std, _ = standardize(train, test)
         grouped = train_std.images.reshape(train_std.size, 3, 1024)
         assert np.max(np.abs(grouped.mean(axis=(0, 2)))) < 1e-6
         assert np.max(np.abs(grouped.std(axis=(0, 2)) - 1.0)) < 1e-6
@@ -271,7 +272,7 @@ class TestStandardize:
         images[:, 2:] += np.arange(4)[:, None]
         ds = Dataset(images, np.zeros(4, dtype=int), 1, "train", channels=3)
         with pytest.raises(ValueError, match="zero variance"):
-            standardize(ds, None)
+            standardize(ds, ds)
 
 
 class TestDatasetValidation:

@@ -27,7 +27,7 @@ from icmix.data import Dataset, synth_blobs
 from icmix.losses import MixedScoreMatrix, loss_cc
 from icmix.mixing import ClassHistogram, MixConfig, one_hot
 from icmix.model import ModelParams, forward, init_model, load_checkpoint, save_checkpoint
-from icmix.numerics import RngState, plan_batches, softmax_log_z
+from icmix.numerics import RngState, softmax_log_z
 
 from oracles import naive_hard_cross_entropy
 
@@ -145,8 +145,9 @@ class TestConfigParsing:
         assert report.config["train"]["lr_steps"] == [1, 2, 3]
         parsed = train(train_config_from_dict(report.config))
         assert parsed.metrics_csv() == report.metrics_csv()
-        with pytest.raises(ConfigError, match="method.alpha"):  # a bool is no number to the schema
-            train(TrainConfig(seed=5, method=MixConfig("mixup", alpha=True), **spec))
+        spec["train"] = TrainSpec(lr=0.0)  # TrainSpec takes any rate; the schema wants one > 0
+        with pytest.raises(ConfigError, match=r"train\.lr"):
+            train(TrainConfig(seed=5, method=MixConfig("mixup"), **spec))
 
     def test_standalone_dataset_spec(self):
         spec = dataset_spec_from_dict({"kind": "blobs", "per_class": 5})
@@ -470,7 +471,8 @@ class TestBatchObjective:
         values = {}
         for axes in ("both", "cc", "ci"):
             cfg = MixConfig(method="ic_mixup", alpha=0.2, axes=axes)
-            draws = plan_batches(RngState(33), [16], cfg.alpha)[0]
+            rng = RngState(33)
+            draws = rng.permutation(16), np.array([rng.sample_beta(cfg.alpha) for _ in range(16)])
             value, _, _ = batch_loss_and_grads(
                 params, cfg, train_ds.images[:16], train_ds.labels[:16], hist, draws)
             values[axes] = value

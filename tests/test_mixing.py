@@ -12,18 +12,19 @@ from icmix.mixing import (
     remix_label_ratio,
 )
 from icmix.losses import loss_ic_joint, mixed_scores
-from icmix.numerics import BatchDraws, RngState, plan_batches
+from icmix.numerics import RngState
 
 from oracles import per_row_mix_batch, per_row_regmixup_compose
 
 
 def _plan(rng, b, alpha=0.2):
-    """A one-batch plan: the draws of rng.permutation(b) and b rng.sample_beta(alpha) calls."""
-    return plan_batches(rng, [b], alpha)[0]
+    """A batch's draws as the scalar loop takes them: rng.permutation(b), then b rng.sample_beta(alpha) calls."""
+    perm = rng.permutation(b)
+    return perm, np.array([rng.sample_beta(alpha) for _ in range(b)])
 
 
 def _draws(perm, lambdas):
-    return BatchDraws(np.array(perm), np.array(lambdas, dtype=np.float64))
+    return np.array(perm), np.array(lambdas, dtype=np.float64)
 
 
 def _forced(seed, b, lam):
@@ -54,6 +55,13 @@ def test_mix_config_validation():
         MixConfig(method="remix", kappa=float("inf"))
     with pytest.raises(ValueError, match="unknown axes"):
         MixConfig(axes="rows")
+
+
+@pytest.mark.parametrize("field", ["alpha", "tau", "kappa"])
+def test_mix_config_rejects_bools(field):
+    # True sits inside every range (alpha 1, tau 1, kappa 1), but the schema takes no bool
+    with pytest.raises(ValueError, match=f"{field} must be a number, not a bool"):
+        MixConfig(method="remix", **{field: True})
 
 
 def test_method_none_is_identity():

@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 from icmix import numerics
-from icmix.numerics import RngState, matrix, plan_batches, plan_epoch, softmax_log_z
+from icmix.numerics import RngState, matrix, plan_epoch, softmax_log_z
 
 from oracles import naive_log_sum_exp, naive_softmax_rows, scalar_epoch, scalar_rng
 
@@ -136,12 +136,16 @@ class TestRng:
 
     def test_invalid_shape_parameter(self):
         rng = RngState(0)
+        rng.normal()  # leaves a spare pending
+        state = (list(rng._s), rng._spare_normal)
         # an infinite shape used to loop forever in the gamma rejection sampler
         for alpha in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(ValueError, match="invalid shape parameter"):
                 rng.sample_beta(alpha)
             with pytest.raises(ValueError, match="invalid shape parameter"):
-                plan_batches(rng, [2], alpha)
+                plan_epoch(rng, 2, [(0, 2)], alpha)
+            # a refused plan draws nothing, not even its shuffle
+            assert (rng._s, rng._spare_normal) == state
 
     def test_permutation_is_a_permutation(self):
         rng = RngState(21)
@@ -293,8 +297,8 @@ def test_golden_draw_digests(seed):
 def test_plan_reproduces_golden_beta_digest(seed):
     # batches of one row draw no partners: only the Beta ratios
     rng = RngState(seed)
-    lambdas = np.concatenate([draws.lambdas for alpha in (0.2, 1.0, 5.0)
-                              for draws in plan_batches(rng, [1] * 100, alpha)])
+    lambdas = np.concatenate([plan_epoch(rng, 0, [(k, k + 1) for k in range(100)], alpha)[2]
+                              for alpha in (0.2, 1.0, 5.0)])
     assert hashlib.sha256(lambdas.astype("<f8").tobytes()).hexdigest() == GOLDEN[seed]["sample_beta"]
 
 
@@ -314,15 +318,14 @@ PLANS = {
 
 
 def _assert_plan_is_scalar_loop(plan, expected):
-    order, batches = expected
-    assert plan.order.dtype == np.int64 and plan.order.tolist() == order.tolist()
-    assert len(plan.batches) == len(batches)
-    for got, want in zip(plan.batches, batches):
-        if want is None:
-            assert got is None
-            continue
-        assert got.partners.dtype == np.int64 and got.partners.tolist() == want[0].tolist()
-        assert np.array_equal(_bits(got.lambdas), _bits(want[1]))
+    """The plan's flat arrays hold the scalar loop's batches, concatenated; none when unmixed."""
+    order, partners, lambdas = plan
+    want_order, batches = expected
+    batches = [draws for draws in batches if draws is not None]
+    assert order.dtype == np.int64 and order.tolist() == want_order.tolist()
+    assert partners.dtype == np.int64 and partners.tolist() == [j for p, _ in batches for j in p.tolist()]
+    assert lambdas.dtype == np.float64
+    assert np.array_equal(_bits(lambdas), _bits(np.array([x for _, lam in batches for x in lam])))
 
 
 class _Fed(RngState):
@@ -494,7 +497,7 @@ class TestEpochPlan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        outputs = plan.order.nbytes + sum(d.partners.nbytes + d.lambdas.nbytes for d in plan.batches)
+        outputs = sum(a.nbytes for a in plan)
         assert outputs == 3 * 8 * n
         margin = 16 * 8 * numerics._CHUNK  # 16 float64 arrays of one chunk: 1 MiB
         assert peak - outputs < margin, (peak, outputs)
