@@ -15,6 +15,7 @@ from .harness import (
     DatasetSpec,
     EvalMetrics,
     GradcheckReport,
+    MixConfig,
     ModelSpec,
     NonFiniteError,
     RunReport,
@@ -42,7 +43,7 @@ from .losses import (
     loss_mixup_ce,
     mixed_scores,
 )
-from .mixing import AXES, METHODS, ClassHistogram, MixBatch, MixConfig, mix_batch, one_hot, regmixup_compose, remix_label_ratio
+from .mixing import AXES, METHODS, ClassHistogram, MixBatch, mix_batch, one_hot, regmixup_compose, remix_label_ratio
 from .model import (
     DenseLayer,
     ForwardCache,

@@ -100,7 +100,7 @@ def load_cifar(path, variant: str, split: str) -> Dataset:
     ``images`` is a view of the pixel bytes of one record buffer;
     ``standardize`` scales them to [0, 1]. File sizes are checked exactly
     before any parsing, so a truncated archive never yields a partial
-    dataset.
+    dataset, and a label byte outside the variant's classes yields none.
     """
     if variant not in _CIFAR:
         raise ValueError(f"unknown variant {variant!r}, expected 'cifar10' or 'cifar100'")
@@ -129,6 +129,11 @@ def load_cifar(path, variant: str, split: str) -> Dataset:
             raise DatasetFileError(f"{fp}: expected {expected} bytes, read {read}")
 
     labels = records[:, spec["label_bytes"] - 1].astype(np.int64)  # the (fine) label is the last label byte
+    bad = np.flatnonzero(labels >= spec["num_classes"])
+    if bad.size:
+        i, record = divmod(int(bad[0]), per_file)
+        raise DatasetFileError(f"{base / names[i]}: record {record} has label {labels[bad[0]]}, "
+                               f"expected one in [0, {spec['num_classes']})")
     return Dataset(records[:, spec["label_bytes"]:], labels, spec["num_classes"], split, channels=3)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import Dataset, load_cifar, longtail_subsample, standardize, stratified_subsample, synth_blobs
 from .losses import MixedScoreMatrix, grad_w_cc, grad_w_ci, grad_w_mixup, loss_cc, loss_ci, loss_ic_joint, loss_mixup_ce, mixed_scores
-from .mixing import AXES, METHODS, MIN_ALPHA, REGMIXUP_METHODS, ClassHistogram, MixConfig, mix_batch, mix_weights, regmixup_compose
+from .mixing import AXES, IC_METHODS, METHODS, REGMIXUP_METHODS, ClassHistogram, mix_batch, mix_weights, regmixup_compose
 from .model import ModelParams, backward, forward, init_model, save_checkpoint, sgd_step
 from .numerics import RngState, plan_epoch, round_half_up, softmax_log_z
 
@@ -83,6 +83,42 @@ class TrainSpec:
     lr_decay: float = 0.2
 
 
+# Beta(alpha, alpha) draws slow down without bound as alpha shrinks: the
+# sampler's Gamma boost u**(1/alpha) underflows to 0 and the draw is retried.
+MIN_ALPHA = 1e-3
+
+
+@dataclass(frozen=True)
+class MixConfig:
+    """Which mixing method to run and its knobs.
+
+    ``alpha`` parameterizes the Beta(alpha, alpha) interpolation draw.
+    ``tau`` and ``kappa`` are the remix interpolation and imbalance-ratio
+    thresholds. ``axes`` selects the contrastive axis for the ic_* methods
+    and is ignored otherwise. Values outside the schema raise ConfigError.
+    """
+
+    method: str = "none"
+    alpha: float = 0.2
+    tau: float = 0.5
+    kappa: float = 3.0
+    axes: str = "both"
+
+    def __post_init__(self):
+        problems: list[str] = []
+        _parse_section("method", _section_values(self, "method"), problems)
+        if problems:
+            raise ConfigError(problems)
+
+    @property
+    def contrastive(self) -> bool:
+        return self.method in IC_METHODS
+
+    @property
+    def regmixup(self) -> bool:
+        return self.method in REGMIXUP_METHODS
+
+
 @dataclass
 class TrainConfig:
     seed: int
@@ -124,6 +160,7 @@ _COUNT = _Field("an integer >= 1", lambda v: _is_int(v) and v >= 1)
 # RngState keeps 64 bits of a seed, so a wider one would run as some other seed
 _SEED = _Field("an integer in [0, 2**64)", lambda v: _is_int(v) and 0 <= v < 2**64)
 _UNIT = _number("a number in (0, 1]", lambda v: 0.0 < v <= 1.0)
+_POSITIVE = _number("a finite number > 0", lambda v: v > 0)
 
 # The one place a config key's type, range, message and conversion are written.
 # Defaults come from the spec dataclasses; a section's keys are listed in the
@@ -139,7 +176,7 @@ _SCHEMA: dict[str, dict[str, _Field]] = {
         "num_classes": _COUNT,
         "per_class": _COUNT,
         "dim": _COUNT,
-        "spread": _number("a finite number > 0", lambda v: v > 0),
+        "spread": _POSITIVE,
     },
     "model": {
         "hidden_dims": _Field("a list of integers >= 1", _is_int_list, tuple),
@@ -147,7 +184,7 @@ _SCHEMA: dict[str, dict[str, _Field]] = {
     "train": {
         "epochs": _COUNT,
         "batch_size": _COUNT,
-        "lr": _number("a finite number > 0", lambda v: v > 0),
+        "lr": _POSITIVE,
         "momentum": _number("a number in [0, 1)", lambda v: 0.0 <= v < 1.0),
         "weight_decay": _number("a finite number >= 0", lambda v: v >= 0),
         "lr_steps": _Field("a strictly increasing list of integers >= 1",
@@ -164,6 +201,10 @@ _SCHEMA: dict[str, dict[str, _Field]] = {
     },
 }
 _SECTIONS = ("dataset", "model", "train", "method")
+
+
+def _section_values(spec, section: str) -> dict:
+    return {key: getattr(spec, f.attr or key) for key, f in _SCHEMA[section].items()}
 
 
 def _parse_section(section: str, d: dict, problems: list[str]) -> dict:
@@ -247,8 +288,7 @@ def resolved_config_dict(config: TrainConfig) -> dict:
     """The config as plain JSON values, keyed as in the schema, as written to the run report."""
     out: dict = {"seed": config.seed}
     for section in _SECTIONS:
-        spec = getattr(config, section)
-        values = {key: getattr(spec, f.attr or key) for key, f in _SCHEMA[section].items()}
+        values = _section_values(getattr(config, section), section)
         out[section] = {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
     return out
 
@@ -372,8 +412,6 @@ def train(config: TrainConfig, out_dir=None) -> RunReport:
     """
     config = train_config_from_dict(resolved_config_dict(config))  # a hand-built config meets the same rules
     train_ds, test_ds = build_dataset_pair(config.dataset)
-    if config.method.method != "none" and train_ds.size < 2:
-        raise ValueError("training set too small to pair for mixing")
     histogram = ClassHistogram.from_labels(train_ds.labels, train_ds.num_classes)
 
     root = RngState(config.seed)
@@ -409,8 +447,6 @@ def train(config: TrainConfig, out_dir=None) -> RunReport:
             sgd_step(params, grads, momentum, lr, spec.momentum, spec.weight_decay)
             loss_sum += value * n_rows
             rows += n_rows
-        if rows == 0:
-            raise ValueError("no trainable batches: training set smaller than one pairable batch")
         train_eval = evaluate(params, train_ds)
         test_eval = evaluate(params, test_ds)
         for split, loss in (("train", train_eval.loss), ("test", test_eval.loss)):
@@ -487,8 +523,8 @@ def analyze_interpolation(params: ModelParams, ds: Dataset, step: float, seed: i
     mean/std over pairs per lambda.
     """
     _check_class_count(params, ds)
-    if not 0 < step <= 1:
-        raise ValueError("step must be in (0, 1]")
+    if not _UNIT.ok(step):
+        raise ValueError(f"step must be {_UNIT.requirement}")
     if not _SEED.ok(seed):
         raise ValueError(f"seed must be {_SEED.requirement}")
     n_steps = round_half_up(1.0 / step)
@@ -591,8 +627,8 @@ def gradcheck(instances: int = 100, tol: float = 1e-5, shapes=GRADCHECK_SHAPES) 
     """
     if not _COUNT.ok(instances):
         raise ValueError(f"instances must be {_COUNT.requirement}")
-    if not 0 < tol < math.inf:
-        raise ValueError("tolerance must be a finite number > 0")
+    if not _POSITIVE.ok(tol):
+        raise ValueError(f"tolerance must be {_POSITIVE.requirement}")
     loss_fns = {
         "mixup_ce": lambda s, y: loss_mixup_ce(s, y),
         "cc": lambda s, y: loss_cc(MixedScoreMatrix.from_logits(s, y)),

@@ -8,7 +8,6 @@ mixed samples side by side.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -21,50 +20,6 @@ AXES = ("cc", "ci", "both")
 IC_METHODS = frozenset({"ic_mixup", "ic_regmixup", "ic_remix"})
 REGMIXUP_METHODS = frozenset({"regmixup", "ic_regmixup"})
 REMIX_METHODS = frozenset({"remix", "ic_remix"})
-
-# Beta(alpha, alpha) draws slow down without bound as alpha shrinks: the
-# sampler's Gamma boost u**(1/alpha) underflows to 0 and the draw is retried.
-MIN_ALPHA = 1e-3
-
-
-@dataclass(frozen=True)
-class MixConfig:
-    """Which mixing method to run and its knobs.
-
-    ``alpha`` parameterizes the Beta(alpha, alpha) interpolation draw.
-    ``tau`` and ``kappa`` are the remix interpolation and imbalance-ratio
-    thresholds. ``axes`` selects the contrastive axis for the ic_* methods
-    and is ignored otherwise.
-    """
-
-    method: str = "none"
-    alpha: float = 0.2
-    tau: float = 0.5
-    kappa: float = 3.0
-    axes: str = "both"
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        if self.axes not in AXES:
-            raise ValueError(f"unknown axes {self.axes!r}, expected one of {AXES}")
-        for name in ("alpha", "tau", "kappa"):
-            if isinstance(getattr(self, name), bool):  # the schema takes no bool for a number either
-                raise ValueError(f"{name} must be a number, not a bool")
-        if not MIN_ALPHA <= self.alpha < math.inf:
-            raise ValueError(f"alpha must be >= {MIN_ALPHA:g} and finite")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError("tau must be in [0, 1]")
-        if not 1.0 <= self.kappa < math.inf:
-            raise ValueError("kappa must be >= 1 and finite")
-
-    @property
-    def contrastive(self) -> bool:
-        return self.method in IC_METHODS
-
-    @property
-    def regmixup(self) -> bool:
-        return self.method in REGMIXUP_METHODS
 
 
 @dataclass
@@ -156,7 +111,7 @@ def remix_label_ratio(lam, n_i, n_j, tau: float, kappa: float):
 def mix_batch(
     inputs: np.ndarray,
     labels,
-    config: MixConfig,
+    config,
     histogram: ClassHistogram,
     draws: tuple[np.ndarray, np.ndarray] | None,
 ) -> MixBatch:
@@ -168,7 +123,8 @@ def mix_batch(
     ratio for mixup-style methods and the remix rule for remix-style methods.
     Method "none" passes inputs through unchanged with one-hot weights and
     needs no draws. For regmixup methods this builds only the mixed half;
-    compose with the clean batch via :func:`regmixup_compose`.
+    compose with the clean batch via :func:`regmixup_compose`. Of ``config``
+    (a :class:`icmix.harness.MixConfig`) only ``method``, ``tau`` and ``kappa`` are read.
     """
     inputs = matrix(inputs, name="inputs")
     labels = _checked_labels(labels, histogram.num_classes)

@@ -91,6 +91,25 @@ def test_infinite_alpha_is_validation_error(tmp_path, capsys):
     assert "method.alpha: must be a finite number" in capsys.readouterr().err
 
 
+def test_cifar_label_out_of_range_is_io_error_naming_the_file(tmp_path, cifar10_dir, capsys):
+    # used to end as "error: labels must lie in [0, 10)" with exit 1 and no file named
+    data = tmp_path / "cifar"
+    data.mkdir()
+    for source in cifar10_dir.iterdir():
+        if source.name != "data_batch_3.bin":
+            (data / source.name).symlink_to(source)
+    raw = bytearray((cifar10_dir / "data_batch_3.bin").read_bytes())
+    raw[17 * 3073] = 10  # the label byte of record 17
+    (data / "data_batch_3.bin").write_bytes(raw)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dataset": {"kind": "cifar10", "path": str(data)}, "method": {"name": "mixup"}}))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 3
+    bad = data / "data_batch_3.bin"
+    assert capsys.readouterr().err == f"I/O error: {bad}: record 17 has label 10, expected one in [0, 10)\n"
+    assert not out.exists()
+
+
 def test_eval_class_width_mismatch_is_validation_error(tmp_path, capsys):
     config = _write_config(tmp_path, epochs=2)
     out = tmp_path / "run"

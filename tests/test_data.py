@@ -76,6 +76,21 @@ class TestLoadCifar:
         with pytest.raises(DatasetFileError, match=r"expected 30730000 bytes, found 30729900"):
             load_cifar(broken, "cifar10", "train")
 
+    @pytest.mark.parametrize("variant, name, label_offset, num_classes", [
+        ("cifar10", "test_batch.bin", 0, 10), ("cifar100", "test.bin", 1, 100),
+    ])
+    def test_label_outside_the_variant_names_file_and_record(self, tmp_path, cifar10_dir, cifar100_dir,
+                                                             variant, name, label_offset, num_classes):
+        source = cifar10_dir if variant == "cifar10" else cifar100_dir
+        raw = bytearray((source / name).read_bytes())
+        record_len = 3072 + label_offset + 1
+        raw[17 * record_len + label_offset] = num_classes
+        raw[40 * record_len + label_offset] = 255
+        (tmp_path / name).write_bytes(raw)
+        with pytest.raises(DatasetFileError,
+                           match=rf"{name}: record 17 has label {num_classes}, expected one in \[0, {num_classes}\)"):
+            load_cifar(tmp_path, variant, "test")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetFileError, match="missing"):
             load_cifar(tmp_path, "cifar10", "train")

@@ -9,6 +9,7 @@ from icmix.harness import (
     ConfigError,
     DatasetSpec,
     EvalMetrics,
+    MixConfig,
     ModelSpec,
     NonFiniteError,
     TrainConfig,
@@ -25,7 +26,7 @@ from icmix.harness import (
 )
 from icmix.data import Dataset, synth_blobs
 from icmix.losses import MixedScoreMatrix, loss_cc
-from icmix.mixing import ClassHistogram, MixConfig, one_hot
+from icmix.mixing import ClassHistogram, one_hot
 from icmix.model import ModelParams, forward, init_model, load_checkpoint, save_checkpoint
 from icmix.numerics import RngState, softmax_log_z
 
@@ -148,6 +149,27 @@ class TestConfigParsing:
         spec["train"] = TrainSpec(lr=0.0)  # TrainSpec takes any rate; the schema wants one > 0
         with pytest.raises(ConfigError, match=r"train\.lr"):
             train(TrainConfig(seed=5, method=MixConfig("mixup"), **spec))
+
+    @pytest.mark.parametrize("key, value, valid", [
+        *[(key, good, True) for key, good in (("alpha", 0.4), ("tau", 0.3), ("kappa", 2.0))],
+        *[(key, bad, False) for key in ("alpha", "tau", "kappa")
+          for bad in (True, float("inf"), float("nan"), "0.2", [0.5], None)],
+        ("name", "ic_remix", True), ("axes", "cc", True),
+        *[(key, bad, False) for key in ("name", "axes") for bad in ("cutmix", 3, None)],
+    ])
+    def test_mix_config_and_schema_agree(self, key, value, valid):
+        # a hand-built MixConfig and the config file's method section follow one rule table
+        attr = "method" if key == "name" else key
+        outcomes = []
+        for build in (lambda: MixConfig(**{attr: value}),
+                      lambda: train_config_from_dict({"method": {"name": "remix", key: value}})):
+            try:
+                build()
+                outcomes.append(None)
+            except ConfigError as err:
+                outcomes.append(err.problems)
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] is None) == valid
 
     def test_standalone_dataset_spec(self):
         spec = dataset_spec_from_dict({"kind": "blobs", "per_class": 5})
@@ -404,9 +426,13 @@ class TestTrain:
 
     @pytest.mark.parametrize("method", ["none", "mixup", "ic_mixup", "regmixup",
                                         "ic_regmixup", "remix", "ic_remix"])
-    @pytest.mark.parametrize("batch_size", [2, 128])
-    def test_method_matrix_completeness(self, method, batch_size):
-        cfg = _blob_config(method=method, epochs=2, batch_size=batch_size, per_class=30)
+    @pytest.mark.parametrize("batch_size, num_classes, per_class", [
+        pytest.param(2, 3, 30, id="2"), pytest.param(128, 3, 30, id="128"), pytest.param(2, 2, 1, id="2rows"),
+    ])
+    def test_method_matrix_completeness(self, method, batch_size, num_classes, per_class):
+        # 2 classes x 1 row is the smallest set the schema lets a mixing run pair
+        cfg = _blob_config(method=method, epochs=2, batch_size=batch_size,
+                           num_classes=num_classes, per_class=per_class)
         report = train(cfg)
         assert len(report.records) == 4
 

@@ -5,12 +5,12 @@ from icmix.mixing import (
     METHODS,
     ClassHistogram,
     MixBatch,
-    MixConfig,
     mix_batch,
     one_hot,
     regmixup_compose,
     remix_label_ratio,
 )
+from icmix.harness import ConfigError, MixConfig
 from icmix.losses import loss_ic_joint, mixed_scores
 from icmix.numerics import RngState
 
@@ -39,28 +39,28 @@ def _random_batch(rng, b, d, c):
 
 
 def test_mix_config_validation():
-    with pytest.raises(ValueError, match="unknown method"):
+    with pytest.raises(ConfigError, match=r"method\.name: must be one of"):
         MixConfig(method="cutmix")
-    with pytest.raises(ValueError, match="alpha"):
+    with pytest.raises(ConfigError, match="alpha"):
         MixConfig(alpha=0.0)
-    with pytest.raises(ValueError, match="alpha must be >= 0.001"):
+    with pytest.raises(ConfigError, match=r"method\.alpha: must be a finite number >= 0\.001"):
         MixConfig(alpha=1e-4)
-    with pytest.raises(ValueError, match="alpha must be >= 0.001 and finite"):
+    with pytest.raises(ConfigError, match=r"method\.alpha: must be a finite number >= 0\.001, got inf"):
         MixConfig(method="mixup", alpha=float("inf"))
-    with pytest.raises(ValueError, match="tau"):
+    with pytest.raises(ConfigError, match="tau"):
         MixConfig(tau=1.5)
-    with pytest.raises(ValueError, match="kappa"):
+    with pytest.raises(ConfigError, match="kappa"):
         MixConfig(kappa=0.5)
-    with pytest.raises(ValueError, match="kappa must be >= 1 and finite"):
+    with pytest.raises(ConfigError, match=r"method\.kappa: must be a finite number >= 1, got inf"):
         MixConfig(method="remix", kappa=float("inf"))
-    with pytest.raises(ValueError, match="unknown axes"):
+    with pytest.raises(ConfigError, match=r"method\.axes: must be one of"):
         MixConfig(axes="rows")
 
 
 @pytest.mark.parametrize("field", ["alpha", "tau", "kappa"])
 def test_mix_config_rejects_bools(field):
     # True sits inside every range (alpha 1, tau 1, kappa 1), but the schema takes no bool
-    with pytest.raises(ValueError, match=f"{field} must be a number, not a bool"):
+    with pytest.raises(ConfigError, match=rf"method\.{field}: must be .*, got True"):
         MixConfig(method="remix", **{field: True})
 
 
