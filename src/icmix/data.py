@@ -23,8 +23,7 @@ SPLITS = ("train", "test")
 # record = label byte(s) + 3 channels x 32 x 32 pixel bytes
 _CIFAR = {
     "cifar10": {
-        "label_bytes": 1,
-        "num_classes": 10,
+        "labels": (("label", 10),),  # each label byte, in record order, and its class count
         "files": {
             "train": [f"data_batch_{i}.bin" for i in range(1, 6)],
             "test": ["test_batch.bin"],
@@ -32,8 +31,7 @@ _CIFAR = {
         "records_per_file": {"train": 10000, "test": 10000},
     },
     "cifar100": {
-        "label_bytes": 2,  # coarse label first, fine label second
-        "num_classes": 100,
+        "labels": (("coarse label", 20), ("label", 100)),
         "files": {"train": ["train.bin"], "test": ["test.bin"]},
         "records_per_file": {"train": 50000, "test": 10000},
     },
@@ -100,14 +98,16 @@ def load_cifar(path, variant: str, split: str) -> Dataset:
     ``images`` is a view of the pixel bytes of one record buffer;
     ``standardize`` scales them to [0, 1]. File sizes are checked exactly
     before any parsing, so a truncated archive never yields a partial
-    dataset, and a label byte outside the variant's classes yields none.
+    dataset, and a label byte outside its classes (10, or CIFAR-100's 20
+    coarse and 100 fine) yields none.
     """
     if variant not in _CIFAR:
         raise ValueError(f"unknown variant {variant!r}, expected 'cifar10' or 'cifar100'")
     if split not in SPLITS:
         raise ValueError(f"split must be one of {SPLITS}")
     spec = _CIFAR[variant]
-    record_len = spec["label_bytes"] + _PIXELS
+    label_bytes = len(spec["labels"])
+    record_len = label_bytes + _PIXELS
     per_file = spec["records_per_file"][split]
 
     base = Path(path)
@@ -128,13 +128,15 @@ def load_cifar(path, variant: str, split: str) -> Dataset:
         if read != expected:
             raise DatasetFileError(f"{fp}: expected {expected} bytes, read {read}")
 
-    labels = records[:, spec["label_bytes"] - 1].astype(np.int64)  # the (fine) label is the last label byte
-    bad = np.flatnonzero(labels >= spec["num_classes"])
-    if bad.size:
-        i, record = divmod(int(bad[0]), per_file)
-        raise DatasetFileError(f"{base / names[i]}: record {record} has label {labels[bad[0]]}, "
-                               f"expected one in [0, {spec['num_classes']})")
-    return Dataset(records[:, spec["label_bytes"]:], labels, spec["num_classes"], split, channels=3)
+    for column, (what, classes) in enumerate(spec["labels"]):
+        bad = np.flatnonzero(records[:, column] >= classes)
+        if bad.size:
+            i, record = divmod(int(bad[0]), per_file)
+            raise DatasetFileError(f"{base / names[i]}: record {record} has {what} {records[bad[0], column]}, "
+                                   f"expected one in [0, {classes})")
+    num_classes = spec["labels"][-1][1]  # the last label byte (CIFAR-100's fine label) is the one a run uses
+    labels = records[:, label_bytes - 1].astype(np.int64)
+    return Dataset(records[:, label_bytes:], labels, num_classes, split, channels=3)
 
 
 def _keep_per_class(ds: Dataset, n_keep: list[int], seed: int, why: str) -> Dataset:

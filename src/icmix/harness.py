@@ -13,7 +13,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -54,59 +54,109 @@ class NonFiniteError(ArithmeticError):
         super().__init__(f"{what} is {value} at epoch {epoch}, step {step}")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_int_list(v) -> bool:
+    return isinstance(v, list) and all(_is_int(x) and x >= 1 for x in v)
+
+
+class _Rule(NamedTuple):
+    """What a config value must be, and how a valid one is stored."""
+
+    requirement: str  # completes "must be ..." in the problem message
+    ok: Callable[[object], bool]
+    convert: Callable[[object], object] = lambda v: v
+
+
+def _number(requirement: str, ok: Callable[[float], bool]) -> _Rule:
+    # JSON admits Infinity and NaN; no number key accepts them
+    return _Rule(requirement, lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                                         and math.isfinite(v) and ok(v)), float)
+
+
+def _one_of(choices: tuple[str, ...]) -> _Rule:
+    return _Rule(f"one of {choices}", lambda v: isinstance(v, str) and v in choices)
+
+
+_COUNT = _Rule("an integer >= 1", lambda v: _is_int(v) and v >= 1)
+# RngState keeps 64 bits of a seed, so a wider one would run as some other seed
+_SEED = _Rule("an integer in [0, 2**64)", lambda v: _is_int(v) and 0 <= v < 2**64)
+_UNIT = _number("a number in (0, 1]", lambda v: 0.0 < v <= 1.0)
+_POSITIVE = _number("a finite number > 0", lambda v: v > 0)
+
+
+def _key(default, rule: _Rule, key: str = "", required: bool = False, hand_built_default: bool = True):
+    """A spec field that is a config key: its default, its rule, its name if not the field's, and
+    whether a config file must give it (if it does not, it is reported as giving None)."""
+    meta = {"default": default, "rule": rule, "key": key, "required": required}
+    return field(default=default, metadata=meta) if hand_built_default else field(metadata=meta)
+
+
+# The spec dataclasses are the config schema: each config key's field states its default and rule
+# once, and a section's keys are listed in the order of its spec's fields.
 @dataclass
 class DatasetSpec:
-    kind: str = "blobs"
-    path: str | None = None
-    fraction: float = 1.0
-    imbalance_ratio: float = 1.0
-    seed: int = 0
-    num_classes: int = 3
-    per_class: int = 100
-    dim: int = 10
-    spread: float = 0.3
+    kind: str = _key("blobs", _one_of(DATASET_KINDS), required=True)
+    path: str | None = _key(None, _Rule("a string", lambda v: v is None or isinstance(v, str)))
+    fraction: float = _key(1.0, _UNIT)
+    imbalance_ratio: float = _key(1.0, _UNIT)
+    seed: int = _key(0, _SEED)  # a config file that leaves it out derives it from the run seed
+    num_classes: int = _key(3, _COUNT)
+    per_class: int = _key(100, _COUNT)
+    dim: int = _key(10, _COUNT)
+    spread: float = _key(0.3, _POSITIVE)
 
 
 @dataclass
 class ModelSpec:
-    hidden_dims: tuple[int, ...] = (64,)
+    hidden_dims: tuple[int, ...] = _key((64,), _Rule("a list of integers >= 1", _is_int_list, tuple))
 
 
 @dataclass
 class TrainSpec:
-    epochs: int = 50
-    batch_size: int = 128
-    lr: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    lr_steps: tuple[int, ...] | None = None  # None: quarter points of the epoch budget
-    lr_decay: float = 0.2
+    epochs: int = _key(50, _COUNT)
+    batch_size: int = _key(128, _COUNT)
+    lr: float = _key(0.1, _POSITIVE)
+    momentum: float = _key(0.9, _number("a number in [0, 1)", lambda v: 0.0 <= v < 1.0))
+    weight_decay: float = _key(5e-4, _number("a finite number >= 0", lambda v: v >= 0))
+    lr_steps: tuple[int, ...] | None = _key(None, _Rule(  # None: quarter points of the epoch budget
+        "a strictly increasing list of integers >= 1",
+        lambda v: v is None or (_is_int_list(v) and v == sorted(set(v))), lambda v: v if v is None else tuple(v)))
+    lr_decay: float = _key(0.2, _UNIT)
 
 
 # Beta(alpha, alpha) draws slow down without bound as alpha shrinks: the
 # sampler's Gamma boost u**(1/alpha) underflows to 0 and the draw is retried.
 MIN_ALPHA = 1e-3
+_ALPHA_BY_METHOD = object()  # MixConfig's alpha until __post_init__ picks the method's default
 
 
 @dataclass(frozen=True)
 class MixConfig:
     """Which mixing method to run and its knobs.
 
-    ``alpha`` parameterizes the Beta(alpha, alpha) interpolation draw.
-    ``tau`` and ``kappa`` are the remix interpolation and imbalance-ratio
-    thresholds. ``axes`` selects the contrastive axis for the ic_* methods
-    and is ignored otherwise. Values outside the schema raise ConfigError.
+    ``alpha`` parameterizes the Beta(alpha, alpha) interpolation draw; left
+    out, it is 20 for the regmixup methods (RegMixup's ratio, Pinto et al.,
+    NeurIPS 2022) and 0.2 otherwise. ``tau`` and ``kappa`` are the remix
+    interpolation and imbalance-ratio thresholds. ``axes`` selects the
+    contrastive axis for the ic_* methods and is ignored otherwise. Values
+    outside the config rules raise ConfigError.
     """
 
-    method: str = "none"
-    alpha: float = 0.2
-    tau: float = 0.5
-    kappa: float = 3.0
-    axes: str = "both"
+    method: str = _key("none", _one_of(METHODS), key="name")
+    alpha: float = _key(_ALPHA_BY_METHOD, _number(f"a finite number >= {MIN_ALPHA:g}", lambda v: v >= MIN_ALPHA))
+    tau: float = _key(0.5, _number("a number in [0, 1]", lambda v: 0.0 <= v <= 1.0))
+    kappa: float = _key(3.0, _number("a finite number >= 1", lambda v: v >= 1.0))
+    axes: str = _key("both", _one_of(AXES))
 
     def __post_init__(self):
+        if self.alpha is _ALPHA_BY_METHOD:  # a method that breaks its rule is no regmixup method
+            regmixup = isinstance(self.method, str) and self.method in REGMIXUP_METHODS
+            object.__setattr__(self, "alpha", 20.0 if regmixup else 0.2)
         problems: list[str] = []
-        _parse_section("method", _section_values(self, "method"), problems)
+        _parse_section(MixConfig, "method", _section_values(self), problems)
         if problems:
             raise ConfigError(problems)
 
@@ -121,116 +171,53 @@ class MixConfig:
 
 @dataclass
 class TrainConfig:
-    seed: int
+    seed: int = _key(0, _SEED, hand_built_default=False)  # a hand-built config names its seed
     dataset: DatasetSpec
     model: ModelSpec
     train: TrainSpec
     method: MixConfig
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+# each section of a config file, and the spec whose fields are its keys
+_SPECS = {"dataset": DatasetSpec, "model": ModelSpec, "train": TrainSpec, "method": MixConfig}
 
 
-def _is_int_list(v) -> bool:
-    return isinstance(v, list) and all(_is_int(x) and x >= 1 for x in v)
+def _config_keys(spec) -> dict:
+    """The config keys of a spec class or instance, each with its field, in field order."""
+    return {f.metadata["key"] or f.name: f for f in fields(spec) if "rule" in f.metadata}
 
 
-class _Field(NamedTuple):
-    """One config key: the rule its value must meet and how the value is stored."""
-
-    requirement: str  # completes "must be ..." in the problem message
-    ok: Callable[[object], bool]
-    convert: Callable[[object], object] = lambda v: v
-    attr: str = ""  # the spec attribute, when it is not named like the key
-    required: bool = False  # absent is reported as None instead of taking the spec default
+def _section_values(spec) -> dict:
+    return {key: getattr(spec, f.name) for key, f in _config_keys(spec).items()}
 
 
-def _number(requirement: str, ok: Callable[[float], bool]) -> _Field:
-    # JSON admits Infinity and NaN; no number field accepts them
-    return _Field(requirement, lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
-                                          and math.isfinite(v) and ok(v)), float)
+def _parse_section(spec_type, section: str, d: dict, problems: list[str]) -> dict:
+    """Every config key of ``spec_type``, named as its field: the value in ``d``, converted, or the default.
 
-
-def _one_of(choices: tuple[str, ...], **kw) -> _Field:
-    return _Field(f"one of {choices}", lambda v: isinstance(v, str) and v in choices, **kw)
-
-
-_COUNT = _Field("an integer >= 1", lambda v: _is_int(v) and v >= 1)
-# RngState keeps 64 bits of a seed, so a wider one would run as some other seed
-_SEED = _Field("an integer in [0, 2**64)", lambda v: _is_int(v) and 0 <= v < 2**64)
-_UNIT = _number("a number in (0, 1]", lambda v: 0.0 < v <= 1.0)
-_POSITIVE = _number("a finite number > 0", lambda v: v > 0)
-
-# The one place a config key's type, range, message and conversion are written.
-# Defaults come from the spec dataclasses; a section's keys are listed in the
-# order of its spec's fields, which is the order of resolved_config_dict.
-_SCHEMA: dict[str, dict[str, _Field]] = {
-    "config": {"seed": _SEED},
-    "dataset": {
-        "kind": _one_of(DATASET_KINDS, required=True),
-        "path": _Field("a string", lambda v: v is None or isinstance(v, str)),
-        "fraction": _UNIT,
-        "imbalance_ratio": _UNIT,
-        "seed": _SEED,
-        "num_classes": _COUNT,
-        "per_class": _COUNT,
-        "dim": _COUNT,
-        "spread": _POSITIVE,
-    },
-    "model": {
-        "hidden_dims": _Field("a list of integers >= 1", _is_int_list, tuple),
-    },
-    "train": {
-        "epochs": _COUNT,
-        "batch_size": _COUNT,
-        "lr": _POSITIVE,
-        "momentum": _number("a number in [0, 1)", lambda v: 0.0 <= v < 1.0),
-        "weight_decay": _number("a finite number >= 0", lambda v: v >= 0),
-        "lr_steps": _Field("a strictly increasing list of integers >= 1",
-                           lambda v: v is None or (_is_int_list(v) and v == sorted(set(v))),
-                           lambda v: v if v is None else tuple(v)),
-        "lr_decay": _UNIT,
-    },
-    "method": {
-        "name": _one_of(METHODS, attr="method"),
-        "alpha": _number(f"a finite number >= {MIN_ALPHA:g}", lambda v: v >= MIN_ALPHA),
-        "tau": _number("a number in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-        "kappa": _number("a finite number >= 1", lambda v: v >= 1.0),
-        "axes": _one_of(AXES),
-    },
-}
-_SECTIONS = ("dataset", "model", "train", "method")
-
-
-def _section_values(spec, section: str) -> dict:
-    return {key: getattr(spec, f.attr or key) for key, f in _SCHEMA[section].items()}
-
-
-def _parse_section(section: str, d: dict, problems: list[str]) -> dict:
-    """The valid keys of ``d``, converted and named as spec attributes.
-
-    Appends a problem for unknown keys and for every key that breaks its rule.
+    Appends a problem for unknown keys and for every key that breaks its
+    rule; such a key keeps its default.
     """
-    fields = _SCHEMA[section]
-    unknown = sorted(set(d) - set(fields))
+    keys = _config_keys(spec_type)
+    unknown = sorted(set(d) - set(keys))
     if unknown:
         problems.append(f"{section}: unknown keys {unknown}")
     values = {}
-    for key, f in fields.items():
-        if key not in d and not f.required:
+    for key, f in keys.items():
+        rule = f.metadata["rule"]
+        values[f.name] = f.metadata["default"]
+        if key not in d and not f.metadata["required"]:
             continue
         v = d.get(key)
-        if f.ok(v):
-            values[f.attr or key] = f.convert(v)
+        if rule.ok(v):
+            values[f.name] = rule.convert(v)
         else:
             name = key if section == "config" else f"{section}.{key}"
-            problems.append(f"{name}: must be {f.requirement}, got {v!r}")
+            problems.append(f"{name}: must be {rule.requirement}, got {v!r}")
     return values
 
 
 def _dataset_spec(d: dict, problems: list[str]) -> DatasetSpec:
-    spec = DatasetSpec(**_parse_section("dataset", d, problems))
+    spec = DatasetSpec(**_parse_section(DatasetSpec, "dataset", d, problems))
     if spec.kind != "blobs" and d.get("path") is None:
         problems.append(f"dataset.path: required for kind {spec.kind!r}")
     if spec.kind == "blobs" and spec.num_classes < 2:
@@ -254,41 +241,37 @@ def train_config_from_dict(d: dict) -> TrainConfig:
     if not isinstance(d, dict):
         raise ConfigError(["config: must be a JSON object"])
     problems: list[str] = []
-    top = {k: v for k, v in d.items() if k not in _SECTIONS}
-    seed = _parse_section("config", top, problems).get("seed", 0)
+    values = _parse_section(TrainConfig, "config", {k: v for k, v in d.items() if k not in _SPECS}, problems)
 
-    sections = {s: d.get(s, {"kind": "blobs"} if s == "dataset" else {}) for s in _SECTIONS}
+    sections = {s: d.get(s, {"kind": "blobs"} if s == "dataset" else {}) for s in _SPECS}
     for s, v in sections.items():
         if not isinstance(v, dict):
             problems.append(f"{s}: must be a JSON object")
             sections[s] = {}
 
-    dataset = _dataset_spec(sections["dataset"], problems)
+    dataset = values["dataset"] = _dataset_spec(sections["dataset"], problems)
     if "seed" not in sections["dataset"]:
-        dataset.seed = RngState(seed).derive(_STREAM_DATASET).seed
-    model = ModelSpec(**_parse_section("model", sections["model"], problems))
-    train_spec = TrainSpec(**_parse_section("train", sections["train"], problems))
+        dataset.seed = RngState(values["seed"]).derive(_STREAM_DATASET).seed
+    for s in ("model", "train", "method"):
+        values[s] = _SPECS[s](**_parse_section(_SPECS[s], s, sections[s], problems))
+    train_spec = values["train"]
     if train_spec.lr_steps is None:  # the quarter points, as in a 200-epoch 50/100/150 plan
         train_spec.lr_steps = tuple(sorted({max(1, round_half_up(f * train_spec.epochs))
                                             for f in (0.25, 0.5, 0.75)}))
-    mix = _parse_section("method", sections["method"], problems)
-    if mix.get("method") in REGMIXUP_METHODS:
-        mix.setdefault("alpha", 20.0)
-    method = MixConfig(**mix)
 
-    if method.method != "none" and train_spec.batch_size < 2:
+    if values["method"].method != "none" and train_spec.batch_size < 2:
         problems.append("train.batch_size: must be >= 2 when a mixing method is active")
 
     if problems:
         raise ConfigError(problems)
-    return TrainConfig(seed=seed, dataset=dataset, model=model, train=train_spec, method=method)
+    return TrainConfig(**values)
 
 
 def resolved_config_dict(config: TrainConfig) -> dict:
-    """The config as plain JSON values, keyed as in the schema, as written to the run report."""
-    out: dict = {"seed": config.seed}
-    for section in _SECTIONS:
-        values = _section_values(getattr(config, section), section)
+    """The config as plain JSON values, keyed as in a config file, as written to the run report."""
+    out = _section_values(config)
+    for section in _SPECS:
+        values = _section_values(getattr(config, section))
         out[section] = {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
     return out
 

@@ -27,6 +27,14 @@ class DenseLayer:
     b: np.ndarray  # fan_out
 
 
+def _layout(dims) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Each tensor's shape in flat order (the weight matrices, then the hidden biases), and the
+    flat index of each tensor in checkpoint order (hidden0.w, hidden0.b, ..., final_weights)."""
+    n = len(dims) - 2  # hidden layers
+    shapes = [*zip(dims, dims[1:]), *((d,) for d in dims[1:-1])]
+    return shapes, [i for k in range(n) for i in (k, n + 1 + k)] + [n]
+
+
 class ModelParams:
     """Every parameter tensor as a view into one C-contiguous float64 vector.
 
@@ -34,26 +42,32 @@ class ModelParams:
     holds the weight matrices first (hidden0.w, ..., final_weights) and the
     hidden biases after them, so weight decay covers the prefix
     ``flat[:num_decayed]``. Gradients and momentum share this layout, and
-    this class is the only code that knows the tensor order and offsets.
-    Without ``flat``, the vector starts at zero.
+    ``_layout`` and this class are the only code that knows the tensor order
+    and offsets. Without ``flat``, the vector starts at zero.
     """
 
     def __init__(self, dims, flat: np.ndarray | None = None):
         self.dims = [int(d) for d in dims]
-        shapes = [*zip(self.dims, self.dims[1:]), *((d,) for d in self.dims[1:-1])]
+        shapes, self._checkpoint_index = _layout(self.dims)
         ends = [0, *itertools.accumulate(map(math.prod, shapes))]
         self.flat = np.zeros(ends[-1]) if flat is None else flat
         if self.flat.shape != (ends[-1],):
             raise ValueError(f"flat has shape {self.flat.shape}, widths {self.dims} need ({ends[-1]},)")
-        views = [self.flat[start:stop].reshape(s) for start, stop, s in zip(ends, ends[1:], shapes)]
+        self._views = [self.flat[start:stop].reshape(s) for start, stop, s in zip(ends, ends[1:], shapes)]
         n = len(self.dims) - 2  # hidden layers
-        self.hidden = [DenseLayer(w, b) for w, b in zip(views[:n], views[n + 1:])]
-        self.final_weights = views[n]
+        self.hidden = [DenseLayer(w, b) for w, b in zip(self._views[:n], self._views[n + 1:])]
+        self.final_weights = self._views[n]
         self.num_decayed = ends[n + 1]
+
+    @staticmethod
+    def checkpoint_shapes(dims) -> list[tuple[int, ...]]:
+        """The shapes of ``checkpoint_order()`` for layer widths ``dims``, found without allocating."""
+        shapes, index = _layout(dims)
+        return [shapes[i] for i in index]
 
     def checkpoint_order(self) -> list[np.ndarray]:
         """The tensors in checkpoint order: hidden0.w, hidden0.b, ..., final_weights."""
-        return [t for layer in self.hidden for t in (layer.w, layer.b)] + [self.final_weights]
+        return [self._views[i] for i in self._checkpoint_index]
 
     @property
     def input_dim(self) -> int:
@@ -171,9 +185,7 @@ def load_checkpoint(path) -> ModelParams:
     dims = [s[0] if s else 0 for s in weights[:1]] + [s[-1] if s else 0 for s in weights]
     if min(dims) < 1:
         raise ValueError(f"{path}: layer widths {dims} must all be at least 1")
-    for i, a in enumerate(arrays):
-        k = i // 2
-        expected = (dims[k + 1],) if i % 2 else (dims[k], dims[k + 1])
+    for i, (a, expected) in enumerate(zip(arrays, ModelParams.checkpoint_shapes(dims))):
         if a.shape != expected:
             raise ValueError(f"{path}: array {i} has shape {a.shape}, expected {expected}")
     params = ModelParams(dims)

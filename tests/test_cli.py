@@ -110,6 +110,31 @@ def test_cifar_label_out_of_range_is_io_error_naming_the_file(tmp_path, cifar10_
     assert not out.exists()
 
 
+def test_cifar100_coarse_label_out_of_range_is_io_error_naming_the_file(tmp_path, cifar100_dir, capsys):
+    # the coarse byte used to go unchecked, so such a file trained with no error
+    data = tmp_path / "cifar"
+    data.mkdir()
+    (data / "train.bin").symlink_to(cifar100_dir / "train.bin")
+    raw = bytearray((cifar100_dir / "test.bin").read_bytes())
+    raw[5 * 3074] = 200  # the coarse label byte of record 5
+    (data / "test.bin").write_bytes(raw)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dataset": {"kind": "cifar100", "path": str(data)}}))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 3
+    bad = data / "test.bin"
+    assert capsys.readouterr().err == f"I/O error: {bad}: record 5 has coarse label 200, expected one in [0, 20)\n"
+    assert not out.exists()
+
+
+def test_dataset_spec_that_is_not_an_object_is_validation_error(tmp_path, capsys):
+    _, path, _ = _blobs_checkpoint(tmp_path)
+    spec = tmp_path / "dataset.json"
+    spec.write_text("[1]")
+    assert main(["eval", "--checkpoint", str(path), "--dataset", str(spec)]) == 1
+    assert capsys.readouterr().err == "invalid configuration:\n  - dataset: must be a JSON object\n"
+
+
 def test_eval_class_width_mismatch_is_validation_error(tmp_path, capsys):
     config = _write_config(tmp_path, epochs=2)
     out = tmp_path / "run"

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,24 @@ class TestLoadCifar:
         with pytest.raises(DatasetFileError,
                            match=rf"{name}: record 17 has label {num_classes}, expected one in \[0, {num_classes}\)"):
             load_cifar(tmp_path, variant, "test")
+
+    @pytest.mark.parametrize("coarse", [20, 200])
+    def test_cifar100_coarse_label_outside_its_20_classes(self, tmp_path, cifar100_dir, coarse):
+        # the coarse byte is dropped, but a record whose coarse byte is out of range is malformed
+        raw = bytearray((cifar100_dir / "test.bin").read_bytes())
+        raw[5 * 3074] = coarse
+        (tmp_path / "test.bin").write_bytes(raw)
+        with pytest.raises(DatasetFileError,
+                           match=rf"test.bin: record 5 has coarse label {coarse}, expected one in \[0, 20\)$"):
+            load_cifar(tmp_path, "cifar100", "test")
+
+    @pytest.mark.parametrize("variant, split, message", [
+        ("cifar", "train", "unknown variant 'cifar', expected 'cifar10' or 'cifar100'"),
+        ("cifar10", "validation", "split must be one of ('train', 'test')"),
+    ])
+    def test_unknown_variant_or_split(self, tmp_path, variant, split, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_cifar(tmp_path, variant, split)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetFileError, match="missing"):
@@ -211,6 +230,12 @@ class TestLongtailSubsample:
         with pytest.raises(ValueError, match="0 samples"):
             longtail_subsample(ds, 0.001, seed=6)
 
+    @pytest.mark.parametrize("ratio", [0.0, -0.5, 1.5])
+    def test_ratio_out_of_range(self, ratio):
+        ds = _balanced_blob_train(per_class=10, num_classes=2)
+        with pytest.raises(ValueError, match=re.escape("ratio must be in (0, 1]")):
+            longtail_subsample(ds, ratio, seed=6)
+
     def test_deterministic(self):
         ds = _balanced_blob_train(per_class=100, num_classes=5)
         a = longtail_subsample(ds, 0.1, seed=7)
@@ -247,6 +272,25 @@ class TestSynthBlobs:
         assert np.array_equal(s1.images, s2.images)
         assert not np.array_equal(t1.images, s1.images)
 
+    @pytest.mark.parametrize("num_classes, per_class, dim, spread, message", [
+        (0, 10, 4, 0.3, "num_classes, per_class, and dim must all be >= 1"),
+        (3, 0, 4, 0.3, "num_classes, per_class, and dim must all be >= 1"),
+        (3, 10, 0, 0.3, "num_classes, per_class, and dim must all be >= 1"),
+        (3, 10, 4, 0.0, "spread must be > 0"),
+        (3, 10, 4, -1.0, "spread must be > 0"),
+    ])
+    def test_bad_arguments_rejected(self, num_classes, per_class, dim, spread, message):
+        with pytest.raises(ValueError, match=message):
+            synth_blobs(num_classes, per_class, dim, spread, seed=1)
+
+    def test_one_dimension_alternates_poles(self):
+        # dataset.dim 1 is a valid config: the classes sit at +1 and -1 in turn
+        assert _blob_means(5, 1).ravel().tolist() == [1.0, -1.0, 1.0, -1.0, 1.0]
+        train, test = synth_blobs(4, 20, 1, 1e-6, seed=8)
+        for ds in (train, test):
+            assert ds.images.shape == (80, 1)
+            assert np.max(np.abs(ds.images[:, 0] - np.where(ds.labels % 2 == 0, 1.0, -1.0))) < 1e-4
+
     def test_trained_linear_model_accuracy(self):
         from icmix.harness import train, train_config_from_dict
 
@@ -281,6 +325,13 @@ class TestStandardize:
         # test split statistics are close to, but not exactly, 0/1
         assert abs(test_std.images.mean()) > 0.0
 
+    @pytest.mark.parametrize("test_width, test_channels", [(6, 2), (4, 1)])
+    def test_train_and_test_layouts_must_agree(self, test_width, test_channels):
+        train = Dataset(np.arange(12.0).reshape(2, 6), np.array([0, 1]), 2, "train")
+        test = Dataset(np.zeros((2, test_width)), np.array([0, 1]), 2, "test", channels=test_channels)
+        with pytest.raises(ValueError, match="train and test layouts disagree"):
+            standardize(train, test)
+
     def test_zero_variance_channel_rejected(self):
         # first channel (columns 0-1) is constant across all samples
         images = np.tile(np.array([0.5, 0.5, 1.0, 2.0, 3.0, 4.0]), (4, 1))
@@ -307,6 +358,19 @@ class TestDatasetValidation:
     def test_images_must_be_uint8_or_float64(self, dtype):
         with pytest.raises(ValueError, match="uint8 or float64"):
             Dataset(np.zeros((2, 3), dtype=dtype), np.array([0, 1]), 2, "train")
+
+    @pytest.mark.parametrize("images, labels, channels, message", [
+        (np.zeros(6, dtype=np.uint8), [0] * 6, 1, "images must be 2-D, got ndim=1"),
+        (np.zeros((1, 2, 3), dtype=np.uint8), [0], 1, "images must be 2-D, got ndim=3"),
+        (np.zeros((0, 3)), [], 1, "dataset must contain at least one sample"),
+        (np.zeros((0, 3), dtype=np.uint8), [], 1, "dataset must contain at least one sample"),
+        (np.zeros((3, 2)), [0, 1], 1, "labels length must match the number of images"),
+        (np.zeros((2, 2)), [[0, 1]], 1, "labels length must match the number of images"),
+        (np.zeros((2, 7)), [0, 1], 3, "feature width 7 not divisible into 3 channels"),
+    ], ids=["uint8_1d", "uint8_3d", "float_no_rows", "uint8_no_rows", "fewer_labels", "labels_2d", "width_7_in_3"])
+    def test_malformed_dataset_rejected(self, images, labels, channels, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Dataset(images, np.array(labels), 2, "train", channels=channels)
 
     def test_raw_pixels_cannot_be_evaluated(self, cifar10_dir):
         params = init_model(3072, [], 10, RngState(1))

@@ -150,6 +150,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"train\.lr"):
             train(TrainConfig(seed=5, method=MixConfig("mixup"), **spec))
 
+    @pytest.mark.parametrize("method, alpha", [("regmixup", 20.0), ("ic_regmixup", 20.0), ("mixup", 0.2),
+                                               ("ic_remix", 0.2), ("none", 0.2)])
+    def test_hand_built_method_resolves_as_its_config_file(self, method, alpha):
+        # a hand-built RegMixup config used to train at alpha 0.2, its config file at 20
+        assert MixConfig(method).alpha == alpha
+        hand_built = resolved_config_dict(TrainConfig(seed=0, dataset=DatasetSpec(), model=ModelSpec(),
+                                                      train=TrainSpec(), method=MixConfig(method)))
+        parsed = resolved_config_dict(train_config_from_dict({"method": {"name": method}}))
+        assert hand_built["method"] == parsed["method"] == _resolved(method={"name": method, "alpha": alpha})["method"]
+        assert hand_built["dataset"]["seed"] == 0  # only a config file derives it from the run seed
+
     @pytest.mark.parametrize("key, value, valid", [
         *[(key, good, True) for key, good in (("alpha", 0.4), ("tau", 0.3), ("kappa", 2.0))],
         *[(key, bad, False) for key in ("alpha", "tau", "kappa")

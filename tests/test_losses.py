@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,21 @@ class TestMixedScores:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             mixed_scores(np.zeros((2, 3)), np.zeros((4, 5)), np.zeros((2, 5)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: MixedScoreMatrix.from_logits(np.zeros(3), np.zeros(3)), "logits (3,) and mix weights (3,)"),
+    (lambda: MixedScoreMatrix.from_logits(np.zeros((2, 3)), np.zeros(6)), "logits (2, 3) and mix weights (6,)"),
+    (lambda: MixedScoreMatrix.from_logits(np.zeros((2, 3)), np.zeros((3, 3))), "logits (2, 3) and mix weights (3, 3)"),
+    (lambda: mixed_scores(np.zeros((2, 4)), np.zeros((4, 3)), np.zeros((2, 2))), "mix weights (2, 2) must be (2, 3)"),
+    (lambda: mixed_scores(np.zeros((2, 4)), np.zeros((4, 3)), np.zeros(6)), "mix weights (6,) must be (2, 3)"),
+    (lambda: loss_mixup_ce(np.zeros((2, 3)), np.zeros((2, 4))), "logits (2, 3) and targets (2, 4) must match"),
+    (lambda: loss_mixup_ce(np.zeros((2, 3)), np.zeros(6)), "logits (2, 3) and targets (6,) must match"),
+], ids=["from_logits_1d", "from_logits_flat_weights", "from_logits_rows", "mixed_scores_classes",
+        "mixed_scores_flat_weights", "mixup_ce_classes", "mixup_ce_flat_targets"])
+def test_shape_mismatch_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 class TestLossCc:

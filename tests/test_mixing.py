@@ -355,3 +355,23 @@ def test_out_of_range_label_is_a_value_error(method, bad):
     hist = ClassHistogram(np.array([5, 5, 5]))
     with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
         mix_batch(np.zeros((2, 2)), np.array([0, bad]), MixConfig(method=method), hist, _plan(RngState(0), 2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ClassHistogram(np.array([3, -1, 2])), "counts must be a 1-D vector of non-negative integers"),
+    (lambda: ClassHistogram(np.ones((2, 3))), "counts must be a 1-D vector of non-negative integers"),
+    (lambda: one_hot(np.zeros((2, 1)), 3), "labels must be 1-D"),
+    (lambda: mix_batch(np.zeros((2, 2)), np.zeros((2, 1)), MixConfig(method="mixup"), ClassHistogram([1, 1]),
+                       _plan(RngState(0), 2)), "labels must be 1-D"),
+    (lambda: mix_batch(np.zeros((3, 2)), np.array([0, 1]), MixConfig(method="mixup"), ClassHistogram([1, 1]),
+                       _plan(RngState(0), 3)), "labels length must match the batch size"),
+    (lambda: mix_batch(np.zeros((2, 2)), np.array([0, 1, 0]), MixConfig(method="none"), ClassHistogram([1, 1]),
+                       None), "labels length must match the batch size"),
+    (lambda: regmixup_compose(np.zeros((2, 2)), np.array([0, 1, 1]),
+                              MixBatch(np.zeros((2, 2)), np.eye(2), np.ones(2), np.zeros((2, 2), dtype=np.int64))),
+     "clean labels length must match the batch size"),
+], ids=["negative_count", "counts_2d", "one_hot_labels_2d", "mix_labels_2d", "mix_fewer_labels", "clean_more_labels",
+        "compose_more_labels"])
+def test_malformed_counts_and_labels_are_value_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

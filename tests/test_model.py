@@ -195,6 +195,7 @@ class TestFlatLayout:
         order = params.checkpoint_order()
         assert [t.shape for t in order] == [s for k in range(len(dims) - 2)
                                             for s in ((dims[k], dims[k + 1]), (dims[k + 1],))] + [tuple(dims[-2:])]
+        assert ModelParams.checkpoint_shapes(dims) == [t.shape for t in order]  # what load_checkpoint checks
         assert all(np.shares_memory(t, params.flat) for t in order)
         if len(dims) == 2:  # no biases: weight decay covers the whole vector
             assert params.num_decayed == params.flat.size == dims[0] * dims[1]

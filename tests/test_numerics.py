@@ -158,6 +158,14 @@ class TestRng:
         draws = [rng.randbelow(7) for _ in range(2000)]
         assert set(draws) == set(range(7))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_randbelow_needs_a_positive_bound(self, n):
+        rng = RngState(23)
+        state = list(rng._s)
+        with pytest.raises(ValueError, match="randbelow requires n >= 1"):
+            rng.randbelow(n)
+        assert rng._s == state  # nothing drawn
+
     def test_complement_exact_on_grid(self):
         rng = RngState(23)
         for _ in range(500):
