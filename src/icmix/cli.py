@@ -38,8 +38,8 @@ def _load_json_file(path: str) -> dict:
 
 
 def _dataset_spec(arg: str):
-    # inline JSON object or a path to one
-    if arg.lstrip().startswith("{"):
+    # inline JSON (an object, or an array the parser then rejects) or a path to a JSON file
+    if arg.lstrip().startswith(("{", "[")):
         return dataset_spec_from_dict(json.loads(arg))
     return dataset_spec_from_dict(_load_json_file(arg))
 

@@ -4,8 +4,9 @@ Parses the CIFAR-10/100 binary archives into uint8 pixel rows, supports
 stratified fractional subsampling and exponential long-tailed subsampling,
 generates synthetic Gaussian blobs for fast deterministic experiments, and
 standardizes pixel channels using statistics fitted on the training split
-actually used. CIFAR pixels stay bytes until standardization, so only the
-rows a run keeps are ever converted to float64.
+actually used. CIFAR pixels stay bytes for the whole run: ``standardize``
+attaches the channel statistics, and ``Dataset.rows`` turns the rows a caller
+asks for into float64 features.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ class Dataset:
     ``images`` is either raw uint8 pixels, as ``load_cifar`` returns them, or
     a finite float64 matrix. ``channels`` partitions the feature columns into
     equal contiguous groups for per-channel standardization (3 for CIFAR's
-    RGB planes, 1 otherwise).
+    RGB planes, 1 otherwise). ``mean`` and ``std`` are the per-channel
+    statistics of pixels scaled to [0, 1]; ``standardize`` sets them on uint8
+    datasets, which ``rows`` then turns into features.
     """
 
     images: np.ndarray
@@ -58,6 +61,8 @@ class Dataset:
     num_classes: int
     split: str
     channels: int = 1
+    mean: np.ndarray | None = None
+    std: np.ndarray | None = None
 
     def __post_init__(self):
         images = np.asarray(self.images)
@@ -81,6 +86,17 @@ class Dataset:
             raise ValueError(f"split must be one of {SPLITS}")
         if d % self.channels != 0:
             raise ValueError(f"feature width {d} not divisible into {self.channels} channels")
+        if (self.mean is None) != (self.std is None):
+            raise ValueError("mean and std must be given together")
+        if self.mean is not None:
+            if images.dtype != np.uint8:
+                raise ValueError("channel statistics apply to uint8 pixels only")
+            self.mean = np.asarray(self.mean, dtype=np.float64)
+            self.std = np.asarray(self.std, dtype=np.float64)
+            if self.mean.shape != (self.channels,) or self.std.shape != (self.channels,):
+                raise ValueError(f"mean and std must have shape ({self.channels},)")
+            if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.std) & (self.std > 0.0))):
+                raise ValueError("mean must be finite and std finite and > 0")
 
     @property
     def size(self) -> int:
@@ -88,6 +104,24 @@ class Dataset:
 
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.num_classes)
+
+    def rows(self, idx, out: np.ndarray | None = None) -> np.ndarray:
+        """The feature rows ``images[idx]``, the one place where bytes become features.
+
+        With channel statistics, each byte becomes ``(byte / 255.0 - mean) /
+        std`` of its channel, in that order, written to ``out`` (float64, the
+        shape of ``images[idx]``) when given. Otherwise ``images[idx]`` is
+        returned as it is: float64 rows are already features, and raw bytes
+        are refused by ``model.forward``.
+        """
+        x = self.images[idx]
+        if self.mean is None:
+            return x
+        out = np.divide(x, 255.0, out=out)
+        shaped = out.reshape(*x.shape[:-1], self.channels, -1)
+        shaped -= self.mean[:, None]
+        shaped /= self.std[:, None]
+        return out
 
 
 def load_cifar(path, variant: str, split: str) -> Dataset:
@@ -222,36 +256,67 @@ def synth_blobs(num_classes: int, per_class: int, dim: int, spread: float, seed:
     return draw("train", root.derive(0)), draw("test", root.derive(1))
 
 
-def _float_images(ds: Dataset) -> np.ndarray:
-    """A new C-contiguous float64 copy of the images, bytes scaled to [0, 1]."""
-    out = np.array(ds.images, dtype=np.float64, order="C")
-    if ds.images.dtype == np.uint8:
-        out /= 255.0
-    return out
+# rows converted at a time while summing byte statistics (about 6 MB of float64 for CIFAR)
+_STAT_ROWS = 256
+
+
+def _byte_statistics(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel mean and std of ``images / 255``, streamed in row blocks.
+
+    Each pass sums every row's channel (pairwise, over the channel's
+    contiguous columns), then adds those sums over the rows in order. That is
+    the order numpy reduces a C-contiguous ``(n, channels, width)`` array
+    over axes (0, 2), so the results equal its ``mean`` and ``std`` bit for
+    bit whenever numpy cannot merge the two axes, which holds for more than
+    one channel.
+    """
+    n, d = ds.images.shape
+    count = n * (d // ds.channels)
+    block = np.empty((min(n, _STAT_ROWS), d))
+    row_sums = np.empty((n, ds.channels))
+
+    def channel_sums(center: np.ndarray | None) -> np.ndarray:
+        for start in range(0, n, _STAT_ROWS):
+            pixels = ds.images[start:start + _STAT_ROWS]
+            shaped = np.divide(pixels, 255.0, out=block[:len(pixels)]).reshape(len(pixels), ds.channels, -1)
+            if center is not None:
+                shaped -= center[:, None]
+                np.multiply(shaped, shaped, out=shaped)
+            shaped.sum(axis=2, out=row_sums[start:start + _STAT_ROWS])
+        return row_sums.sum(axis=0)
+
+    mean = channel_sums(None) / count
+    return mean, np.sqrt(channel_sums(mean) / count)
 
 
 def standardize(train: Dataset, test: Dataset):
     """Shift/scale each channel to mean 0, stddev 1 using training statistics.
 
     The test split is transformed with the statistics fitted on the training
-    split, never its own. Each split is converted to float64 once and then
-    transformed in place. Returns (train, test).
+    split, never its own. uint8 splits stay bytes: both come back carrying
+    the training statistics, and ``Dataset.rows`` applies them. float64
+    splits are copied once and transformed in place. Returns (train, test).
     """
     n, d = train.images.shape
-    if test.channels != train.channels or test.images.shape[1] != d:
+    if (test.channels != train.channels or test.images.shape[1] != d
+            or test.images.dtype != train.images.dtype):
         raise ValueError("train and test layouts disagree")
-    width = d // train.channels
-    train_x = _float_images(train)
-    grouped = train_x.reshape(n, train.channels, width)
-    mean = grouped.mean(axis=(0, 2))
-    std = grouped.std(axis=(0, 2))
+    as_bytes = train.images.dtype == np.uint8
+    if as_bytes:
+        mean, std = _byte_statistics(train)
+    else:
+        grouped = np.array(train.images).reshape(n, train.channels, -1)
+        mean = grouped.mean(axis=(0, 2))
+        std = grouped.std(axis=(0, 2))
     if np.any(std == 0.0):
         raise ValueError("cannot standardize: a channel has zero variance")
+    if as_bytes:
+        return replace(train, mean=mean, std=std), replace(test, mean=mean, std=std)
 
     def apply(ds: Dataset, x: np.ndarray) -> Dataset:
-        shaped = x.reshape(ds.size, ds.channels, width)
+        shaped = x.reshape(ds.size, ds.channels, -1)
         shaped -= mean[None, :, None]
         shaped /= std[None, :, None]
         return replace(ds, images=x)
 
-    return apply(train, train_x), apply(test, _float_images(test))
+    return apply(train, grouped.reshape(n, d)), apply(test, np.array(test.images))

@@ -142,7 +142,9 @@ class MixConfig:
     NeurIPS 2022) and 0.2 otherwise. ``tau`` and ``kappa`` are the remix
     interpolation and imbalance-ratio thresholds. ``axes`` selects the
     contrastive axis for the ic_* methods and is ignored otherwise. Values
-    outside the config rules raise ConfigError.
+    outside the config rules raise ConfigError. ``dataclasses.replace`` keeps
+    an already-resolved ``alpha``: replacing only ``method`` does not pick the
+    new method's default.
     """
 
     method: str = _key("none", _one_of(METHODS), key="name")
@@ -308,15 +310,33 @@ def _check_class_count(params: ModelParams, ds: Dataset) -> None:
         raise ValueError(f"model outputs {params.num_classes} classes but dataset has {ds.num_classes}")
 
 
+# rows per eval block. A shorter tail joins the block before it, so no block of a split this
+# long is shorter: BLAS picks its kernels by row count, and blocks this long give every row the
+# bits of one forward pass over the whole split.
+_EVAL_ROWS = 2048
+
+
 def evaluate(params: ModelParams, ds: Dataset) -> EvalMetrics:
-    """Top-1 accuracy and mean cross-entropy against the original classes."""
+    """Top-1 accuracy and mean cross-entropy against the original classes.
+
+    The split runs through ``forward`` in blocks of ``_EVAL_ROWS`` rows, the
+    last block taking the remainder, each converted into one reused buffer.
+    """
     _check_class_count(params, ds)
-    cache = forward(params, ds.images)
-    predictions = np.argmax(cache.logits, axis=1)
+    n = ds.size
+    edges = [k * _EVAL_ROWS for k in range(max(n // _EVAL_ROWS, 1))] + [n]
+    buffer = None if ds.mean is None else np.empty((n - edges[-2], ds.images.shape[1]))
+    predictions = np.empty(n, dtype=np.int64)
+    log_likelihood = np.empty(n)
+    for start, stop in zip(edges, edges[1:]):
+        x = ds.rows(slice(start, stop), None if buffer is None else buffer[:stop - start])
+        logits = forward(params, x).logits
+        np.argmax(logits, axis=1, out=predictions[start:stop])
+        _, log_z = softmax_log_z(logits)
+        log_likelihood[start:stop] = logits[np.arange(stop - start), ds.labels[start:stop]] - log_z
     accuracy = float(np.mean(predictions == ds.labels))
-    _, log_z = softmax_log_z(cache.logits)
-    loss = float(-np.mean(cache.logits[np.arange(ds.size), ds.labels] - log_z))
-    return EvalMetrics(accuracy, loss, ds.size)
+    loss = float(-np.mean(log_likelihood))
+    return EvalMetrics(accuracy, loss, n)
 
 
 def batch_loss_and_grads(params: ModelParams, method: MixConfig, inputs, labels,
@@ -421,7 +441,7 @@ def train(config: TrainConfig, out_dir=None) -> RunReport:
         for start, stop in bounds:
             idx = order[start:stop]
             value, grads, n_rows = batch_loss_and_grads(
-                params, config.method, train_ds.images[idx], train_ds.labels[idx], histogram,
+                params, config.method, train_ds.rows(idx), train_ds.labels[idx], histogram,
                 (partners[start:stop], lambdas[start:stop]),
             )
             step += 1
@@ -515,12 +535,13 @@ def analyze_interpolation(params: ModelParams, ds: Dataset, step: float, seed: i
         raise ValueError(f"step {step} does not divide 1")
 
     rng = RngState(seed)
-    exemplars = np.empty((ds.num_classes, ds.images.shape[1]), dtype=np.float64)
+    picks = []
     for c in range(ds.num_classes):
         members = np.flatnonzero(ds.labels == c)
         if members.size == 0:
             raise ValueError(f"class {c} has no images to sample")
-        exemplars[c] = ds.images[members[rng.randbelow(members.size)]]
+        picks.append(members[rng.randbelow(members.size)])
+    exemplars = ds.rows(np.array(picks))
 
     pairs = [(a, b) for a in range(ds.num_classes) for b in range(ds.num_classes) if a != b]
     a_idx = np.array([p[0] for p in pairs])

@@ -106,7 +106,7 @@ def init_model(input_dim: int, hidden_dims, num_classes: int, rng: RngState) -> 
 def forward(params: ModelParams, inputs: np.ndarray) -> ForwardCache:
     """Run the network, keeping every intermediate for the backward pass.
 
-    Raw uint8 pixels are refused: ``data.standardize`` turns them into features.
+    Raw uint8 pixels are refused: ``Dataset.rows`` turns them into features.
     """
     if np.asarray(inputs).dtype == np.uint8:
         raise ValueError("inputs are raw uint8 pixels; standardize them first")
@@ -143,6 +143,10 @@ def backward(params: ModelParams, cache: ForwardCache, grad_logits: np.ndarray) 
     return grads
 
 
+# flat entries per block of sgd_step: the four vectors' blocks (1 MB in all) stay in cache between ops
+_SGD_BLOCK = 32768
+
+
 def sgd_step(params: ModelParams, grads: ModelParams, momentum: np.ndarray,
              lr: float, mu: float, weight_decay: float) -> None:
     """One heavy-ball update, in place: m = m*mu + (g + wd*p), p -= lr*m.
@@ -150,14 +154,24 @@ def sgd_step(params: ModelParams, grads: ModelParams, momentum: np.ndarray,
     ``momentum`` is a vector in the parameters' flat layout. Weight decay
     covers the weight prefix of the flat vector. The biases keep the
     ``0.0 * p`` term of a zero decay: dropping it would flip the sign of some
-    zero momentum entries, and with them some zero parameters.
+    zero momentum entries, and with them some zero parameters. The update
+    runs over blocks of the flat vector, each through the same elementwise
+    ops, so the result does not depend on the block size.
     """
     n = params.num_decayed
     p, g, m = params.flat, grads.flat, momentum
-    m *= mu
-    m[:n] += g[:n] + weight_decay * p[:n]
-    m[n:] += g[n:] + 0.0 * p[n:]
-    p -= lr * m
+    scratch = np.empty(min(_SGD_BLOCK, p.size))
+    for start in range(0, p.size, _SGD_BLOCK):
+        stop = start + _SGD_BLOCK
+        pb, gb, mb, t = p[start:stop], g[start:stop], m[start:stop], scratch[:p.size - start]
+        k = max(n - start, 0)  # the block's decayed prefix
+        mb *= mu
+        np.multiply(pb[:k], weight_decay, t[:k])
+        np.multiply(pb[k:], 0.0, t[k:])
+        t += gb
+        mb += t
+        np.multiply(mb, lr, t)
+        pb -= t
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

@@ -135,6 +135,13 @@ def test_dataset_spec_that_is_not_an_object_is_validation_error(tmp_path, capsys
     assert capsys.readouterr().err == "invalid configuration:\n  - dataset: must be a JSON object\n"
 
 
+@pytest.mark.parametrize("arg", ["[1]", ' [{"kind": "blobs"}]'], ids=["array", "space_then_array"])
+def test_inline_dataset_spec_that_is_not_an_object_is_validation_error(tmp_path, arg, capsys):
+    _, path, _ = _blobs_checkpoint(tmp_path)
+    assert main(["eval", "--checkpoint", str(path), "--dataset", arg]) == 1
+    assert capsys.readouterr().err == "invalid configuration:\n  - dataset: must be a JSON object\n"
+
+
 def test_eval_class_width_mismatch_is_validation_error(tmp_path, capsys):
     config = _write_config(tmp_path, epochs=2)
     out = tmp_path / "run"

@@ -312,7 +312,7 @@ class TestStandardize:
         train = load_cifar(cifar10_dir, "cifar10", "test")  # smaller split as the fit set
         test = Dataset(train.images[:5], train.labels[:5], train.num_classes, "test", channels=3)
         train_std, _ = standardize(train, test)
-        grouped = train_std.images.reshape(train_std.size, 3, 1024)
+        grouped = train_std.rows(slice(None)).reshape(train_std.size, 3, 1024)
         assert np.max(np.abs(grouped.mean(axis=(0, 2)))) < 1e-6
         assert np.max(np.abs(grouped.std(axis=(0, 2)) - 1.0)) < 1e-6
 
@@ -329,6 +329,24 @@ class TestStandardize:
     def test_train_and_test_layouts_must_agree(self, test_width, test_channels):
         train = Dataset(np.arange(12.0).reshape(2, 6), np.array([0, 1]), 2, "train")
         test = Dataset(np.zeros((2, test_width)), np.array([0, 1]), 2, "test", channels=test_channels)
+        with pytest.raises(ValueError, match="train and test layouts disagree"):
+            standardize(train, test)
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 5000])
+    def test_streamed_byte_statistics_equal_numpy_bitwise(self, n):
+        # pins numpy's reduction order over (0, 2): each row's channel summed pairwise, then the rows in order
+        images = np.random.default_rng(n).integers(0, 256, size=(n, 3072), dtype=np.uint8)
+        train = Dataset(images, np.zeros(n, dtype=int), 1, "train", channels=3)
+        train_std, test_std = standardize(train, train)
+        grouped = (images / 255).reshape(n, 3, 1024)
+        for ds in (train_std, test_std):
+            assert ds.images is images
+            assert ds.mean.tobytes() == grouped.mean(axis=(0, 2)).tobytes()
+            assert ds.std.tobytes() == grouped.std(axis=(0, 2)).tobytes()
+
+    def test_byte_and_float_splits_cannot_mix(self):
+        train = Dataset(np.arange(12, dtype=np.uint8).reshape(2, 6), np.array([0, 1]), 2, "train", channels=3)
+        test = Dataset(np.zeros((2, 6)), np.array([0, 1]), 2, "test", channels=3)
         with pytest.raises(ValueError, match="train and test layouts disagree"):
             standardize(train, test)
 
@@ -377,6 +395,27 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="standardize them first"):
             evaluate(params, load_cifar(cifar10_dir, "cifar10", "test"))
 
+    @pytest.mark.parametrize("images, mean, std, message", [
+        (np.zeros((2, 3)), [0.5], [0.2], "channel statistics apply to uint8 pixels only"),
+        (np.zeros((2, 3), dtype=np.uint8), [0.5], None, "mean and std must be given together"),
+        (np.zeros((2, 3), dtype=np.uint8), [0.5, 0.5], [0.2, 0.2], "mean and std must have shape (1,)"),
+        (np.zeros((2, 3), dtype=np.uint8), [0.5], [0.0], "std finite and > 0"),
+        (np.zeros((2, 3), dtype=np.uint8), [np.nan], [0.2], "mean must be finite"),
+    ], ids=["float_images", "mean_alone", "two_channels", "zero_std", "nan_mean"])
+    def test_malformed_statistics_rejected(self, images, mean, std, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Dataset(images, np.array([0, 1]), 2, "train", mean=mean, std=std)
+
+    def test_rows_standardizes_bytes_in_order(self):
+        images = np.array([[0, 51, 255, 128]], dtype=np.uint8)
+        ds = Dataset(images, np.array([0]), 1, "train", channels=2, mean=[0.25, 0.5], std=[0.5, 0.125])
+        want = [[(0 / 255.0 - 0.25) / 0.5, (51 / 255.0 - 0.25) / 0.5,
+                 (255 / 255.0 - 0.5) / 0.125, (128 / 255.0 - 0.5) / 0.125]]
+        assert ds.rows(slice(None)).tolist() == want
+        out = np.empty((1, 4))
+        assert ds.rows(np.array([0]), out) is out and out.tolist() == want
+        assert ds.rows(0).tolist() == want[0]
+
     def test_uint8_images_kept_without_copy(self):
         records = np.arange(12, dtype=np.uint8).reshape(3, 4)
         ds = Dataset(records[:, 1:], np.array([0, 1, 0]), 2, "train")
@@ -384,9 +423,15 @@ class TestDatasetValidation:
 
 
 def _bits(ds):
-    """Digest of the exact float64 bit patterns, plus labels and layout."""
-    digest = hashlib.sha256(np.ascontiguousarray(ds.images).view(np.uint64)).hexdigest()
-    return digest, ds.images.shape, ds.labels.tolist(), ds.num_classes, ds.split, ds.channels
+    """Digest of the exact float64 bit patterns of the features, plus labels and layout.
+
+    The features are read through ``rows`` in blocks, so a uint8 split is
+    never converted whole.
+    """
+    digest = hashlib.sha256()
+    for start in range(0, ds.size, 4096):
+        digest.update(np.ascontiguousarray(ds.rows(slice(start, start + 4096))).view(np.uint64))
+    return digest.hexdigest(), ds.images.shape, ds.labels.tolist(), ds.num_classes, ds.split, ds.channels
 
 
 class TestBuildMatchesFloatPath:

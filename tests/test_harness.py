@@ -1,5 +1,7 @@
 import errno
 import json
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,7 @@ from icmix.mixing import ClassHistogram, one_hot
 from icmix.model import ModelParams, forward, init_model, load_checkpoint, save_checkpoint
 from icmix.numerics import RngState, softmax_log_z
 
-from oracles import naive_hard_cross_entropy
+from oracles import float_dataset_pair, naive_hard_cross_entropy
 
 
 def _blob_config(method="none", seed=1, epochs=10, batch_size=64, axes="both", **dataset_overrides):
@@ -365,6 +367,52 @@ class TestEvaluate:
         params = init_model(5, [], 7, RngState(27))
         with pytest.raises(ValueError, match="classes"):
             evaluate(params, ds_train)
+
+
+@pytest.fixture(scope="module")
+def cifar_test_splits(cifar10_dir):
+    """The test split of one CIFAR-10 spec, as bytes with statistics and by the float64 oracle."""
+    spec = dataset_spec_from_dict({"kind": "cifar10", "path": str(cifar10_dir), "fraction": 0.1, "seed": 17})
+    return build_dataset_pair(spec)[1], float_dataset_pair(spec)[1]
+
+
+def _first_rows(ds, n):
+    return replace(ds, images=ds.images[:n], labels=ds.labels[:n])
+
+
+class TestEvaluateCifarBlocks:
+    """A uint8 split is evaluated in row blocks of converted bytes; the scores
+    are those of the float64 split evaluated as one matrix."""
+
+    @pytest.mark.parametrize("n", [1, 2047, 2048, 4095, 4096, 5000, 10000])
+    def test_matches_float_split_evaluated_whole(self, cifar_test_splits, n):
+        byte_ds, float_ds = (_first_rows(ds, n) for ds in cifar_test_splits)
+        params = init_model(3072, [16], 10, RngState(61))
+        got = evaluate(params, byte_ds)
+        assert got == evaluate(params, float_ds)
+        logits = forward(params, float_ds.images).logits
+        assert got.accuracy == float(np.mean(np.argmax(logits, axis=1) == float_ds.labels))
+        assert got.loss == pytest.approx(naive_hard_cross_entropy(logits, float_ds.labels), rel=1e-13, abs=0)
+
+    def test_analyze_matches_float_split(self, cifar_test_splits):
+        params = init_model(3072, [16], 10, RngState(62))
+        byte_table, float_table = (analyze_interpolation(params, ds, 0.25, seed=3) for ds in cifar_test_splits)
+        assert byte_table.to_csv() == float_table.to_csv()
+
+    def test_memory_is_two_blocks_not_a_float_split(self, cifar_test_splits):
+        byte_ds = cifar_test_splits[0]
+        n, d, hidden = byte_ds.size, byte_ds.images.shape[1], 16
+        params = init_model(d, [hidden], 10, RngState(63))
+        tracemalloc.start()
+        try:
+            evaluate(params, byte_ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two 2048-row blocks of float64 features with forward's finiteness mask (one byte per
+        # entry), and the hidden activations of every row; a float64 split alone is n * d * 8 = 246 MB
+        assert n == 10000 and byte_ds.images.dtype == np.uint8
+        assert peak <= 2 * 2048 * d * (8 + 1) + n * hidden * 8, peak
 
 
 class TestTrain:
