@@ -2,11 +2,11 @@
 
 Parses the CIFAR-10/100 binary archives into uint8 pixel rows, supports
 stratified fractional subsampling and exponential long-tailed subsampling,
-generates synthetic Gaussian blobs for fast deterministic experiments, and
-standardizes pixel channels using statistics fitted on the training split
-actually used. CIFAR pixels stay bytes for the whole run: ``standardize``
-attaches the channel statistics, and ``Dataset.rows`` turns the rows a caller
-asks for into float64 features.
+and generates synthetic Gaussian blobs for fast deterministic experiments.
+Every split keeps the samples it was loaded or generated with, uint8 pixels
+or float64 blobs: ``standardize`` only fits per-channel statistics on the
+training split actually used and attaches them to both splits, and
+``Dataset.rows`` turns the rows a caller asks for into float64 features.
 """
 
 from __future__ import annotations
@@ -46,14 +46,14 @@ class DatasetFileError(OSError):
 
 @dataclass
 class Dataset:
-    """Feature matrix plus integer labels.
+    """Samples plus integer labels.
 
     ``images`` is either raw uint8 pixels, as ``load_cifar`` returns them, or
-    a finite float64 matrix. ``channels`` partitions the feature columns into
-    equal contiguous groups for per-channel standardization (3 for CIFAR's
-    RGB planes, 1 otherwise). ``mean`` and ``std`` are the per-channel
-    statistics of pixels scaled to [0, 1]; ``standardize`` sets them on uint8
-    datasets, which ``rows`` then turns into features.
+    a finite float64 matrix, as ``synth_blobs`` returns it. ``channels``
+    partitions the columns into equal contiguous groups for per-channel
+    standardization (3 for CIFAR's RGB planes, 1 otherwise). ``mean`` and
+    ``std`` are the per-channel statistics of the samples, pixels scaled to
+    [0, 1]; ``standardize`` sets them, and ``rows`` turns samples into features.
     """
 
     images: np.ndarray
@@ -89,8 +89,6 @@ class Dataset:
         if (self.mean is None) != (self.std is None):
             raise ValueError("mean and std must be given together")
         if self.mean is not None:
-            if images.dtype != np.uint8:
-                raise ValueError("channel statistics apply to uint8 pixels only")
             self.mean = np.asarray(self.mean, dtype=np.float64)
             self.std = np.asarray(self.std, dtype=np.float64)
             if self.mean.shape != (self.channels,) or self.std.shape != (self.channels,):
@@ -106,18 +104,18 @@ class Dataset:
         return np.bincount(self.labels, minlength=self.num_classes)
 
     def rows(self, idx, out: np.ndarray | None = None) -> np.ndarray:
-        """The feature rows ``images[idx]``, the one place where bytes become features.
+        """The feature rows of ``images[idx]``, the one place where samples become features.
 
-        With channel statistics, each byte becomes ``(byte / 255.0 - mean) /
-        std`` of its channel, in that order, written to ``out`` (float64, the
-        shape of ``images[idx]``) when given. Otherwise ``images[idx]`` is
-        returned as it is: float64 rows are already features, and raw bytes
-        are refused by ``model.forward``.
+        With channel statistics, each entry x becomes ``(x / scale - mean) /
+        std`` of its channel, in that order (``scale`` is 255.0 for bytes, 1.0
+        for floats), written to ``out`` (float64, the shape of ``images[idx]``)
+        when given and never into ``images``. Without statistics, ``images[idx]``
+        is returned as it is: raw bytes are refused by ``model.forward``.
         """
         x = self.images[idx]
         if self.mean is None:
             return x
-        out = np.divide(x, 255.0, out=out)
+        out = np.divide(x, 255.0 if x.dtype == np.uint8 else 1.0, out=out)
         shaped = out.reshape(*x.shape[:-1], self.channels, -1)
         shaped -= self.mean[:, None]
         shaped /= self.std[:, None]
@@ -290,33 +288,23 @@ def _byte_statistics(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def standardize(train: Dataset, test: Dataset):
-    """Shift/scale each channel to mean 0, stddev 1 using training statistics.
+    """Fit per-channel statistics on the training split and attach them to both splits.
 
-    The test split is transformed with the statistics fitted on the training
-    split, never its own. uint8 splits stay bytes: both come back carrying
-    the training statistics, and ``Dataset.rows`` applies them. float64
-    splits are copied once and transformed in place. Returns (train, test).
+    The test split gets the training statistics, never its own. Both keep
+    their samples: ``Dataset.rows`` standardizes the rows a caller asks for.
+    Returns (train, test).
     """
     n, d = train.images.shape
     if (test.channels != train.channels or test.images.shape[1] != d
             or test.images.dtype != train.images.dtype):
         raise ValueError("train and test layouts disagree")
-    as_bytes = train.images.dtype == np.uint8
-    if as_bytes:
+    if train.images.dtype == np.uint8:
         mean, std = _byte_statistics(train)
     else:
-        grouped = np.array(train.images).reshape(n, train.channels, -1)
-        mean = grouped.mean(axis=(0, 2))
-        std = grouped.std(axis=(0, 2))
+        # numpy's reduction over a view of the split: with one channel it merges the two axes,
+        # an order the streamed sums of _byte_statistics would not keep
+        grouped = train.images.reshape(n, train.channels, -1)
+        mean, std = grouped.mean(axis=(0, 2)), grouped.std(axis=(0, 2))
     if np.any(std == 0.0):
         raise ValueError("cannot standardize: a channel has zero variance")
-    if as_bytes:
-        return replace(train, mean=mean, std=std), replace(test, mean=mean, std=std)
-
-    def apply(ds: Dataset, x: np.ndarray) -> Dataset:
-        shaped = x.reshape(ds.size, ds.channels, -1)
-        shaped -= mean[None, :, None]
-        shaped /= std[None, :, None]
-        return replace(ds, images=x)
-
-    return apply(train, grouped.reshape(n, d)), apply(test, np.array(test.images))
+    return replace(train, mean=mean, std=std), replace(test, mean=mean, std=std)

@@ -320,16 +320,17 @@ def evaluate(params: ModelParams, ds: Dataset) -> EvalMetrics:
     """Top-1 accuracy and mean cross-entropy against the original classes.
 
     The split runs through ``forward`` in blocks of ``_EVAL_ROWS`` rows, the
-    last block taking the remainder, each converted into one reused buffer.
+    last block taking the remainder, each made into features by
+    ``Dataset.rows`` in one reused buffer.
     """
     _check_class_count(params, ds)
     n = ds.size
     edges = [k * _EVAL_ROWS for k in range(max(n // _EVAL_ROWS, 1))] + [n]
-    buffer = None if ds.mean is None else np.empty((n - edges[-2], ds.images.shape[1]))
+    buffer = np.empty((n - edges[-2], ds.images.shape[1]))
     predictions = np.empty(n, dtype=np.int64)
     log_likelihood = np.empty(n)
     for start, stop in zip(edges, edges[1:]):
-        x = ds.rows(slice(start, stop), None if buffer is None else buffer[:stop - start])
+        x = ds.rows(slice(start, stop), buffer[:stop - start])
         logits = forward(params, x).logits
         np.argmax(logits, axis=1, out=predictions[start:stop])
         _, log_z = softmax_log_z(logits)
@@ -516,6 +517,10 @@ class CurveTable:
         return "\n".join(lines) + "\n"
 
 
+# the most lambda points analyze sweeps: a step of 1e-4
+_MAX_GRID_POINTS = 10001
+
+
 def analyze_interpolation(params: ModelParams, ds: Dataset, step: float, seed: int = 0) -> CurveTable:
     """Sweep interpolated inputs between class exemplars over a lambda grid.
 
@@ -530,6 +535,8 @@ def analyze_interpolation(params: ModelParams, ds: Dataset, step: float, seed: i
         raise ValueError(f"step must be {_UNIT.requirement}")
     if not _SEED.ok(seed):
         raise ValueError(f"seed must be {_SEED.requirement}")
+    if not 1.0 / step < _MAX_GRID_POINTS - 0.5:  # round(1 / step) + 1 points; 1 / step may be inf
+        raise ValueError(f"step {step} gives more than {_MAX_GRID_POINTS} lambda points")
     n_steps = round_half_up(1.0 / step)
     if abs(n_steps * step - 1.0) > 1e-9:
         raise ValueError(f"step {step} does not divide 1")

@@ -41,13 +41,14 @@ _CHUNK = 2 * _PAIRS_PER_ROUND
 def matrix(data, name: str = "matrix") -> np.ndarray:
     """Coerce ``data`` to a C-contiguous float64 2-D array.
 
-    Rejects non-finite entries; this is the constructor used whenever data
-    enters the system from a file, a dataset, or parameter initialization.
+    Rejects non-finite entries (by the extremes, which NaN reaches: no mask);
+    this is the constructor used whenever data enters the system from a
+    file, a dataset, or parameter initialization.
     """
     m = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if m.size and not (math.isfinite(m.min()) and math.isfinite(m.max())):
         raise ValueError(f"{name} contains non-finite entries")
     return m
 

@@ -198,9 +198,7 @@ def float_dataset_pair(spec):
     """
     from pathlib import Path
 
-    from icmix.data import Dataset, longtail_subsample, stratified_subsample
-    from icmix.harness import _STREAM_FRACTION, _STREAM_LONGTAIL
-    from icmix.numerics import RngState
+    from icmix.data import Dataset
 
     label_bytes, num_classes, train_files, test_files = _CIFAR_FILES[spec.kind]
 
@@ -210,12 +208,7 @@ def float_dataset_pair(spec):
         return Dataset(records[:, label_bytes:].astype(np.float64) / 255.0,
                        records[:, label_bytes - 1], num_classes, split, channels=3)
 
-    train = read(train_files, "train")
-    root = RngState(spec.seed)
-    if spec.fraction < 1.0:
-        train = stratified_subsample(train, spec.fraction, root.derive(_STREAM_FRACTION).seed)
-    if spec.imbalance_ratio < 1.0:
-        train = longtail_subsample(train, spec.imbalance_ratio, root.derive(_STREAM_LONGTAIL).seed)
+    train = _subsampled(read(train_files, "train"), spec)
     grouped = train.images.reshape(train.size, 3, 1024)
     mean = grouped.mean(axis=(0, 2))[None, :, None]
     std = grouped.std(axis=(0, 2))[None, :, None]
@@ -230,6 +223,36 @@ def float_dataset_pair(spec):
 
     train = apply(train)
     return train, apply(read(test_files, "test"))
+
+
+def float_blobs_pair(spec):
+    """``build_dataset_pair`` for a blobs spec, by standardizing whole float64 splits.
+
+    The package's ``synth_blobs`` draws the samples and its subsamplers choose
+    the training rows; then numpy's ``mean`` and ``std`` over the whole
+    training split give the statistics, and every row of both splits becomes
+    ``(x - mean) / std``.
+    """
+    from icmix.data import Dataset, synth_blobs
+
+    train, test = synth_blobs(spec.num_classes, spec.per_class, spec.dim, spec.spread, spec.seed)
+    train = _subsampled(train, spec)
+    mean, std = train.images.mean(), train.images.std()
+    return tuple(Dataset((ds.images - mean) / std, ds.labels, ds.num_classes, ds.split) for ds in (train, test))
+
+
+def _subsampled(train, spec):
+    """The training split after the package's fractional and long-tail subsamplers."""
+    from icmix.data import longtail_subsample, stratified_subsample
+    from icmix.harness import _STREAM_FRACTION, _STREAM_LONGTAIL
+    from icmix.numerics import RngState
+
+    root = RngState(spec.seed)
+    if spec.fraction < 1.0:
+        train = stratified_subsample(train, spec.fraction, root.derive(_STREAM_FRACTION).seed)
+    if spec.imbalance_ratio < 1.0:
+        train = longtail_subsample(train, spec.imbalance_ratio, root.derive(_STREAM_LONGTAIL).seed)
+    return train
 
 
 def scalar_rng(seed):

@@ -193,8 +193,9 @@ def test_analyze_bad_step_is_validation_error(tmp_path, capsys):
     assert main(["train", "--config", str(config), "--out", str(out)]) == 0
     report = json.loads((out / "run_report.json").read_text())
     capsys.readouterr()
-    # inf used to pass the check and end in a ZeroDivisionError traceback
-    for step in ("0.3", "inf", "nan"):
+    # inf used to pass the check and end in a ZeroDivisionError traceback; 1e-300 divides 1
+    # but asks for a grid of about 1e300 points, and 1 / 5e-324 overflows to inf
+    for step in ("0.3", "inf", "nan", "1e-300", "5e-324"):
         assert main(["analyze", "--checkpoint", str(out / "checkpoint.bin"),
                      "--dataset", json.dumps(report["config"]["dataset"]),
                      "--step", step, "--out", str(tmp_path / "c.csv")]) == 1

@@ -18,7 +18,7 @@ from icmix.harness import build_dataset_pair, dataset_spec_from_dict, evaluate
 from icmix.model import init_model
 from icmix.numerics import RngState, round_half_up
 
-from oracles import float_dataset_pair, scalar_rng
+from oracles import float_blobs_pair, float_dataset_pair, scalar_rng
 
 
 def _balanced_blob_train(per_class=500, num_classes=10, seed=3):
@@ -321,9 +321,10 @@ class TestStandardize:
         grouped = train.images
         mean, std = grouped.mean(), grouped.std()
         train_std, test_std = standardize(train, test)
-        assert np.max(np.abs(test_std.images - (test.images - mean) / std)) < 1e-12
+        features = test_std.rows(slice(None))
+        assert np.max(np.abs(features - (test.images - mean) / std)) < 1e-12
         # test split statistics are close to, but not exactly, 0/1
-        assert abs(test_std.images.mean()) > 0.0
+        assert abs(features.mean()) > 0.0
 
     @pytest.mark.parametrize("test_width, test_channels", [(6, 2), (4, 1)])
     def test_train_and_test_layouts_must_agree(self, test_width, test_channels):
@@ -396,12 +397,11 @@ class TestDatasetValidation:
             evaluate(params, load_cifar(cifar10_dir, "cifar10", "test"))
 
     @pytest.mark.parametrize("images, mean, std, message", [
-        (np.zeros((2, 3)), [0.5], [0.2], "channel statistics apply to uint8 pixels only"),
         (np.zeros((2, 3), dtype=np.uint8), [0.5], None, "mean and std must be given together"),
         (np.zeros((2, 3), dtype=np.uint8), [0.5, 0.5], [0.2, 0.2], "mean and std must have shape (1,)"),
         (np.zeros((2, 3), dtype=np.uint8), [0.5], [0.0], "std finite and > 0"),
         (np.zeros((2, 3), dtype=np.uint8), [np.nan], [0.2], "mean must be finite"),
-    ], ids=["float_images", "mean_alone", "two_channels", "zero_std", "nan_mean"])
+    ], ids=["mean_alone", "two_channels", "zero_std", "nan_mean"])
     def test_malformed_statistics_rejected(self, images, mean, std, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             Dataset(images, np.array([0, 1]), 2, "train", mean=mean, std=std)
@@ -435,19 +435,31 @@ def _bits(ds):
 
 
 class TestBuildMatchesFloatPath:
-    """The uint8 data path builds the same float64 splits, bit for bit, as
-    converting every record to float64 before subsampling did."""
+    """The data path, which keeps each split's samples and makes features in
+    ``rows``, builds the same float64 splits, bit for bit, as converting every
+    CIFAR record to float64 before subsampling did, and as standardizing whole
+    blobs splits did."""
 
     @pytest.mark.parametrize("kind, fields", [
         ("cifar10", {"fraction": 0.1}),
         ("cifar10", {"fraction": 1.0}),
         ("cifar10", {"imbalance_ratio": 0.1}),
         ("cifar100", {"fraction": 0.5}),
+        ("blobs", {}),
+        ("blobs", {"fraction": 0.5}),
+        ("blobs", {"imbalance_ratio": 0.2}),
+        # 5000 rows per split: _bits reads them in two blocks
+        ("blobs", {"num_classes": 10, "per_class": 500, "dim": 8}),
     ])
-    def test_bit_identical(self, kind, fields, cifar10_dir, cifar100_dir):
-        path = cifar10_dir if kind == "cifar10" else cifar100_dir
-        spec = dataset_spec_from_dict({"kind": kind, "path": str(path), "seed": 17, **fields})
-        # one pair at a time: the full split is 1.2 GB of float64 per copy
+    def test_bit_identical(self, kind, fields, request):
+        if kind == "blobs":
+            spec = dataset_spec_from_dict({"kind": kind, "seed": 17, **fields})
+            oracle = float_blobs_pair
+        else:
+            path = request.getfixturevalue(f"{kind}_dir")
+            spec = dataset_spec_from_dict({"kind": kind, "path": str(path), "seed": 17, **fields})
+            oracle = float_dataset_pair
+        # one pair at a time: the full CIFAR split is 1.2 GB of float64 per copy
         got = [_bits(ds) for ds in build_dataset_pair(spec)]
-        want = [_bits(ds) for ds in float_dataset_pair(spec)]
+        want = [_bits(ds) for ds in oracle(spec)]
         assert got == want

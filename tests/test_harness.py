@@ -409,10 +409,10 @@ class TestEvaluateCifarBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # two 2048-row blocks of float64 features with forward's finiteness mask (one byte per
-        # entry), and the hidden activations of every row; a float64 split alone is n * d * 8 = 246 MB
+        # two 2048-row blocks of float64 features and the hidden activations of every row, with no
+        # finiteness mask beside them; a float64 split alone is n * d * 8 = 246 MB
         assert n == 10000 and byte_ds.images.dtype == np.uint8
-        assert peak <= 2 * 2048 * d * (8 + 1) + n * hidden * 8, peak
+        assert peak <= 2 * 2048 * d * 8 + n * hidden * 8, peak
 
 
 class TestTrain:
