@@ -33,7 +33,6 @@ from .harness import (
 from .losses import (
     LossResult,
     MixedScoreMatrix,
-    build_mixed_classifier,
     grad_w_cc,
     grad_w_ci,
     grad_w_mixup,

@@ -239,17 +239,13 @@ def synth_blobs(num_classes: int, per_class: int, dim: int, spread: float, seed:
     root = RngState(seed)
 
     def draw(split: str, rng: RngState) -> Dataset:
-        n = num_classes * per_class
-        images = np.empty((n, dim), dtype=np.float64)
-        labels = np.empty(n, dtype=np.int64)
-        for c in range(num_classes):
-            block = images[c * per_class:(c + 1) * per_class]
-            # means[c] + spread * z, with z drawn for the whole class at once:
-            # the same draws, row by row, as one normals(dim) call per row
-            np.multiply(rng.normals(per_class * dim).reshape(per_class, dim), spread, out=block)
-            block += means[c]
-            labels[c * per_class:(c + 1) * per_class] = c
-        return Dataset(images, labels, num_classes, split)
+        # means[c] + spread * z, with z drawn for the whole split at once: the same draws,
+        # row by row, as one normals(dim) call per row, classes in order
+        blobs = rng.normals(num_classes * per_class * dim).reshape(num_classes, per_class, dim)
+        blobs *= spread
+        blobs += means[:, None]
+        labels = np.repeat(np.arange(num_classes), per_class)
+        return Dataset(blobs.reshape(-1, dim), labels, num_classes, split)
 
     return draw("train", root.derive(0)), draw("test", root.derive(1))
 

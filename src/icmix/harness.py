@@ -284,6 +284,7 @@ def build_dataset_pair(spec: DatasetSpec) -> tuple[Dataset, Dataset]:
     Fractional and long-tail subsampling touch only the training split; the
     standardization statistics come from the training split actually used.
     """
+    spec = dataset_spec_from_dict(_section_values(spec))  # a hand-built spec meets the same rules
     if spec.kind == "blobs":
         train, test = synth_blobs(spec.num_classes, spec.per_class, spec.dim, spec.spread, spec.seed)
     else:

@@ -65,18 +65,6 @@ class LossResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def build_mixed_classifier(w: np.ndarray, y_tilde: np.ndarray) -> np.ndarray:
-    """Interpolated classifier vector W @ y_tilde (length D).
-
-    For a one-hot y_tilde this is exactly the corresponding column of W.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    y_tilde = np.asarray(y_tilde, dtype=np.float64).ravel()
-    if w.ndim != 2 or w.shape[1] != y_tilde.shape[0]:
-        raise ValueError(f"weights {w.shape} incompatible with mixing vector of length {y_tilde.shape[0]}")
-    return w @ y_tilde
-
-
 def mixed_scores(r: np.ndarray, w: np.ndarray, y_tilde: np.ndarray) -> MixedScoreMatrix:
     """Score features against original classes and in-batch mixed classes."""
     r = np.asarray(r, dtype=np.float64)

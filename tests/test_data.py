@@ -252,12 +252,16 @@ class TestSynthBlobs:
         assert train.split == "train" and test.split == "test"
 
     def test_same_draws_as_one_normals_call_per_row(self):
-        train, test = synth_blobs(3, 300, 5, 0.3, seed=7)
-        means = _blob_means(3, 5)
-        for ds, stream in ((train, 0), (test, 1)):
-            rng = scalar_rng(RngState(7).derive(stream).seed)
-            expected = np.stack([means[c] + 0.3 * rng.normals(5) for c in range(3) for _ in range(300)])
-            assert np.array_equal(ds.images.view(np.uint64), expected.view(np.uint64))
+        # an odd per_class * dim leaves a pending spare at a class boundary, which the next class takes
+        for num_classes, per_class, dim in ((3, 300, 5), (3, 7, 5), (2, 3, 1)):
+            train, test = synth_blobs(num_classes, per_class, dim, 0.3, seed=7)
+            means = _blob_means(num_classes, dim)
+            for ds, stream in ((train, 0), (test, 1)):
+                rng = scalar_rng(RngState(7).derive(stream).seed)
+                expected = np.stack([means[c] + 0.3 * rng.normals(dim)
+                                     for c in range(num_classes) for _ in range(per_class)])
+                assert np.array_equal(ds.images.view(np.uint64), expected.view(np.uint64))
+                assert np.array_equal(ds.labels, np.repeat(np.arange(num_classes), per_class))
 
     def test_tiny_spread_nearest_mean_is_perfect(self):
         train, test = synth_blobs(4, 25, 6, 1e-6, seed=2)

@@ -190,6 +190,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             dataset_spec_from_dict({"kind": "blobs", "bogus": 1})
 
+    @pytest.mark.parametrize("spec, problem", [
+        (DatasetSpec(seed=-1), "dataset.seed: must be an integer in [0, 2**64), got -1"),
+        (DatasetSpec(kind="cifar10"), "dataset.path: required for kind 'cifar10'"),
+    ], ids=["negative_seed", "cifar_without_path"])
+    def test_hand_built_dataset_spec_meets_the_config_rules(self, spec, problem):
+        # a negative seed would wrap to 2**64 - 1; a missing path would fail inside the loader
+        with pytest.raises(ConfigError) as err:
+            build_dataset_pair(spec)
+        assert err.value.problems == [problem]
+
 
 _METHOD_CHOICES = "('none', 'mixup', 'ic_mixup', 'regmixup', 'ic_regmixup', 'remix', 'ic_remix')"
 _KIND_CHOICES = "('cifar10', 'cifar100', 'blobs')"

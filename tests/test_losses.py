@@ -6,7 +6,6 @@ import pytest
 
 from icmix.losses import (
     MixedScoreMatrix,
-    build_mixed_classifier,
     grad_w_cc,
     grad_w_ci,
     grad_w_mixup,
@@ -59,34 +58,6 @@ def _large_instances(seed):
     yield _regmixup_instance(seed + 2, b=32, c=3, d=5)
 
 
-class TestBuildMixedClassifier:
-    def test_one_hot_selects_column(self):
-        rng = RngState(1)
-        w = rng.normals(12).reshape(4, 3)
-        for c in range(3):
-            y = np.zeros(3)
-            y[c] = 1.0
-            assert np.array_equal(build_mixed_classifier(w, y), w[:, c])
-
-    def test_midpoint(self):
-        w = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert np.array_equal(build_mixed_classifier(w, np.array([0.5, 0.5])), np.array([0.5, 0.5]))
-
-    def test_matches_naive_weighted_column_sum(self):
-        rng = RngState(2)
-        w = rng.normals(30).reshape(5, 6)
-        y = rng.uniforms(6)
-        y /= y.sum()
-        expected = np.zeros(5)
-        for c in range(6):
-            expected += y[c] * w[:, c]
-        assert np.max(np.abs(build_mixed_classifier(w, y) - expected)) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            build_mixed_classifier(np.zeros((4, 3)), np.zeros(5))
-
-
 class TestMixedScores:
     def test_identity_weights_give_logits(self):
         rng = RngState(3)
@@ -102,7 +73,7 @@ class TestMixedScores:
         y = np.array([[0.3, 0.7, 0.0]])
         ms = mixed_scores(r, w, y)
         assert ms.s_tilde.shape == (1, 1)
-        expected = float(r[0] @ build_mixed_classifier(w, y[0]))
+        expected = float(r[0] @ (w @ y[0]))
         assert abs(ms.s_tilde[0, 0] - expected) < 1e-12
 
     def test_matches_per_pair_oracle(self):
