@@ -106,18 +106,21 @@ class Dataset:
     def rows(self, idx, out: np.ndarray | None = None) -> np.ndarray:
         """The feature rows of ``images[idx]``, the one place where samples become features.
 
-        With channel statistics, each entry x becomes ``(x / scale - mean) /
-        std`` of its channel, in that order (``scale`` is 255.0 for bytes, 1.0
-        for floats), written to ``out`` (float64, the shape of ``images[idx]``)
+        With channel statistics, each entry x becomes ``(x / 255 - mean) /
+        std`` of its channel for bytes, and ``(x - mean) / std`` for floats, in
+        that order, written to ``out`` (float64, the shape of ``images[idx]``)
         when given and never into ``images``. Without statistics, ``images[idx]``
         is returned as it is: raw bytes are refused by ``model.forward``.
         """
         x = self.images[idx]
         if self.mean is None:
             return x
-        out = np.divide(x, 255.0 if x.dtype == np.uint8 else 1.0, out=out)
+        if x.dtype == np.uint8:
+            x = out = np.divide(x, 255.0, out=out)
+        elif out is None:
+            out = np.empty(x.shape)
         shaped = out.reshape(*x.shape[:-1], self.channels, -1)
-        shaped -= self.mean[:, None]
+        np.subtract(x.reshape(shaped.shape), self.mean[:, None], out=shaped)
         shaped /= self.std[:, None]
         return out
 
