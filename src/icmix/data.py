@@ -130,11 +130,10 @@ def load_cifar(path, variant: str, split: str) -> Dataset:
 
     ``path`` is the directory holding the standard .bin files. Each record
     is label byte(s) followed by 3072 pixel bytes (1024 per RGB plane).
-    ``images`` is a view of the pixel bytes of one record buffer;
-    ``standardize`` scales them to [0, 1]. File sizes are checked exactly
-    before any parsing, so a truncated archive never yields a partial
-    dataset, and a label byte outside its classes (10, or CIFAR-100's 20
-    coarse and 100 fine) yields none.
+    ``images`` is a view of the pixel bytes of one record buffer. File sizes
+    are checked exactly before any parsing, so a truncated archive never
+    yields a partial dataset, and a label byte outside its classes (10, or
+    CIFAR-100's 20 coarse and 100 fine) yields none.
     """
     if variant not in _CIFAR:
         raise ValueError(f"unknown variant {variant!r}, expected 'cifar10' or 'cifar100'")
@@ -253,37 +252,29 @@ def synth_blobs(num_classes: int, per_class: int, dim: int, spread: float, seed:
     return draw("train", root.derive(0)), draw("test", root.derive(1))
 
 
-# rows converted at a time while summing byte statistics (about 6 MB of float64 for CIFAR)
+# rows counted at a time while forming byte statistics (a 2 MB intp copy of one CIFAR channel)
 _STAT_ROWS = 256
 
 
 def _byte_statistics(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel mean and std of ``images / 255``, streamed in row blocks.
+    """Per-channel mean and std of ``images / 255``, from exact integer moments.
 
-    Each pass sums every row's channel (pairwise, over the channel's
-    contiguous columns), then adds those sums over the rows in order. That is
-    the order numpy reduces a C-contiguous ``(n, channels, width)`` array
-    over axes (0, 2), so the results equal its ``mean`` and ``std`` bit for
-    bit whenever numpy cannot merge the two axes, which holds for more than
-    one channel.
+    Each channel's bytes are counted in row blocks. The counts h over N pixels
+    give exact Python ints S1 = sum v h[v] and S2 = sum v^2 h[v], so mean =
+    S1 / (255 N) and var = (N S2 - S1^2) / (255 N)^2 are each rounded once.
     """
     n, d = ds.images.shape
-    count = n * (d // ds.channels)
-    block = np.empty((min(n, _STAT_ROWS), d))
-    row_sums = np.empty((n, ds.channels))
-
-    def channel_sums(center: np.ndarray | None) -> np.ndarray:
-        for start in range(0, n, _STAT_ROWS):
-            pixels = ds.images[start:start + _STAT_ROWS]
-            shaped = np.divide(pixels, 255.0, out=block[:len(pixels)]).reshape(len(pixels), ds.channels, -1)
-            if center is not None:
-                shaped -= center[:, None]
-                np.multiply(shaped, shaped, out=shaped)
-            shaped.sum(axis=2, out=row_sums[start:start + _STAT_ROWS])
-        return row_sums.sum(axis=0)
-
-    mean = channel_sums(None) / count
-    return mean, np.sqrt(channel_sums(mean) / count)
+    counts = np.zeros((ds.channels, 256), dtype=np.int64)
+    for start in range(0, n, _STAT_ROWS):
+        block = ds.images[start:start + _STAT_ROWS].reshape(-1, ds.channels, d // ds.channels)
+        for c, h in enumerate(counts):
+            h += np.bincount(block[:, c].ravel(), minlength=256)
+    pixels = n * d // ds.channels
+    s1 = [sum(v * k for v, k in enumerate(h)) for h in counts.tolist()]
+    s2 = [sum(v * v * k for v, k in enumerate(h)) for h in counts.tolist()]
+    mean = [a / (255 * pixels) for a in s1]
+    var = [(pixels * b - a * a) / (255 * pixels) ** 2 for a, b in zip(s1, s2)]
+    return np.array(mean), np.sqrt(var)
 
 
 def standardize(train: Dataset, test: Dataset):
@@ -300,8 +291,6 @@ def standardize(train: Dataset, test: Dataset):
     if train.images.dtype == np.uint8:
         mean, std = _byte_statistics(train)
     else:
-        # numpy's reduction over a view of the split: with one channel it merges the two axes,
-        # an order the streamed sums of _byte_statistics would not keep
         grouped = train.images.reshape(n, train.channels, -1)
         mean, std = grouped.mean(axis=(0, 2)), grouped.std(axis=(0, 2))
     if np.any(std == 0.0):

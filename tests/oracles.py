@@ -6,6 +6,7 @@ evidence and not tautology.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -187,14 +188,29 @@ _CIFAR_FILES = {
 }
 
 
+def byte_statistics_from_sums(s1, s2, n):
+    """Per-channel mean and std of v / 255 from exact sums S1 = sum v and S2 = sum v^2 over n bytes.
+
+    ``Fraction`` keeps mean = S1 / (255 n) and var = (n S2 - S1^2) / (255 n)^2
+    exact up to one rounding to float64 each; std is the square root of the
+    rounded variance.
+    """
+    mean = [float(Fraction(int(a), 255 * n)) for a in s1]
+    var = [float(Fraction(n * int(b) - int(a) ** 2, (255 * n) ** 2)) for a, b in zip(s1, s2)]
+    return np.array(mean), np.sqrt(var)
+
+
 def float_dataset_pair(spec):
     """``build_dataset_pair`` for a CIFAR spec, by the all-float64 data path.
 
     Every record is read and turned into float64 / 255 before the package's
     subsamplers choose rows; the channels are then standardized out of place
     with training statistics. The row choice is the package's own; the pixel
-    arithmetic is not. The output is written in row blocks, which keeps peak
-    memory near two copies of the training split and changes no element.
+    arithmetic is not. The statistics come from int64 sums of the bytes and of
+    their squares, taken in row blocks (x * 255 is within an ulp of its byte),
+    and ``byte_statistics_from_sums``. The output is written in row blocks,
+    which keeps peak memory near two copies of the training split and changes
+    no element.
     """
     from pathlib import Path
 
@@ -210,8 +226,12 @@ def float_dataset_pair(spec):
 
     train = _subsampled(read(train_files, "train"), spec)
     grouped = train.images.reshape(train.size, 3, 1024)
-    mean = grouped.mean(axis=(0, 2))[None, :, None]
-    std = grouped.std(axis=(0, 2))[None, :, None]
+    s1, s2 = np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64)
+    for start in range(0, train.size, 1024):
+        v = np.rint(grouped[start:start + 1024] * 255.0).astype(np.int64)
+        s1 += v.sum(axis=(0, 2))
+        s2 += (v * v).sum(axis=(0, 2))
+    mean, std = (a[None, :, None] for a in byte_statistics_from_sums(s1, s2, train.size * 1024))
     del grouped
 
     def apply(ds):

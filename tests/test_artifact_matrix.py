@@ -2,21 +2,24 @@
 
 ``tools/artifact_matrix.py`` is imported read-only, with the benchmark's
 workload module it builds its configs from: no bytecode is written under
-``tools/`` or ``perfbench/``. Nothing here trains; ``compare`` runs on run
-directories written by hand.
+``tools/`` or ``perfbench/``. Nothing here trains; ``compare`` and
+``tolerance`` run on run directories written by hand.
 """
 
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from icmix.container import KIND_CHECKPOINT, read_container, write_container
 from icmix.harness import train_config_from_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 METRICS = "epoch,split,loss,accuracy,lr\n1,train,0.693147180560,0.5,0.1\n1,test,0.6875,0.75,0.1\n"
 CONFIG = {"seed": 3, "dataset": {"kind": "blobs", "seed": 11}, "method": {"name": "ic_mixup"}}
+PARAMETERS = [np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), np.array([0.5, -0.25, 0.0])]
 
 
 @pytest.fixture
@@ -31,7 +34,7 @@ def tool(monkeypatch):
 def _write_run(run: Path) -> Path:
     run.mkdir()
     (run / "metrics.csv").write_text(METRICS)
-    (run / "checkpoint.bin").write_bytes(bytes(range(64)))
+    write_container(run / "checkpoint.bin", KIND_CHECKPOINT, (0, 0), PARAMETERS)
     (run / "curve.csv").write_text("lambda,mean_feature_sq_norm\n0,1.5\n1,2.25\n")
     (run / "run_report.json").write_text(json.dumps({"config": CONFIG, "epoch_seconds": [0.5]}))
     (run / "eval.json").write_text(json.dumps({"accuracy": 0.75, "loss": 0.6875, "num_samples": 40}))
@@ -91,3 +94,33 @@ def test_eval_must_match_a_test_row(tool, tmp_path):
     for run in (rev, tree):
         (run / "metrics.csv").write_text(METRICS.replace("1,test,", "1,train,"))
     assert tool.compare(rev, tree) == ["eval (rev)", "eval (tree)"]
+
+
+def test_identical_runs_have_no_tolerance_report(tool, tmp_path):
+    assert tool.tolerance(_write_run(tmp_path / "rev"), _write_run(tmp_path / "tree")) == []
+
+
+def _set_bias(run: Path) -> None:
+    weights, bias = read_container(run / "checkpoint.bin")[2]
+    bias[1] = -0.375
+    write_container(run / "checkpoint.bin", KIND_CHECKPOINT, (0, 0), [weights, bias])
+
+
+@pytest.mark.parametrize("change, report", [
+    (lambda run: (run / "metrics.csv").write_text(METRICS.replace("1,test,0.6875", "1,test,0.625")),
+     "    metrics.csv: epoch abs 0 rel 0, loss abs 0.0625 rel 0.0909, accuracy abs 0 rel 0, lr abs 0 rel 0"),
+    (lambda run: (run / "curve.csv").write_text("lambda,mean_feature_sq_norm\n0,1.5\n1,2.5\n"),
+     "    curve.csv: lambda abs 0 rel 0, mean_feature_sq_norm abs 0.25 rel 0.1"),
+    (_set_bias, "    checkpoint.bin: parameters abs 0.125 rel 0.333"),
+], ids=["metrics", "curve", "checkpoint"])
+def test_tolerance_reports_the_largest_differences(tool, tmp_path, change, report):
+    # relative to the larger magnitude, and 0 (not nan) where both values are 0
+    rev, tree = _write_run(tmp_path / "rev"), _write_run(tmp_path / "tree")
+    change(tree)
+    assert tool.tolerance(rev, tree) == [report]
+
+
+def test_tolerance_names_columns_that_do_not_line_up(tool, tmp_path):
+    rev, tree = _write_run(tmp_path / "rev"), _write_run(tmp_path / "tree")
+    (tree / "curve.csv").write_text("lambda,mean_feature_sq_norm\n0,1.5\n")
+    assert tool.tolerance(rev, tree) == ["    curve.csv: columns or shapes differ"]

@@ -18,7 +18,7 @@ from icmix.harness import build_dataset_pair, dataset_spec_from_dict, evaluate
 from icmix.model import init_model
 from icmix.numerics import RngState, round_half_up
 
-from oracles import float_blobs_pair, float_dataset_pair, scalar_rng
+from oracles import byte_statistics_from_sums, float_blobs_pair, float_dataset_pair, scalar_rng
 
 
 def _balanced_blob_train(per_class=500, num_classes=10, seed=3):
@@ -338,16 +338,31 @@ class TestStandardize:
             standardize(train, test)
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 5000])
-    def test_streamed_byte_statistics_equal_numpy_bitwise(self, n):
-        # pins numpy's reduction order over (0, 2): each row's channel summed pairwise, then the rows in order
+    def test_byte_statistics_are_exactly_rounded(self, n):
+        # around the 256-row blocks: mean is Fraction(S1, 255 N) rounded once, std the sqrt of var rounded once
         images = np.random.default_rng(n).integers(0, 256, size=(n, 3072), dtype=np.uint8)
         train = Dataset(images, np.zeros(n, dtype=int), 1, "train", channels=3)
         train_std, test_std = standardize(train, train)
-        grouped = (images / 255).reshape(n, 3, 1024)
+        grouped = images.reshape(n, 3, 1024).astype(np.int64)
+        mean, std = byte_statistics_from_sums(grouped.sum(axis=(0, 2)), (grouped * grouped).sum(axis=(0, 2)), n * 1024)
         for ds in (train_std, test_std):
             assert ds.images is images
-            assert ds.mean.tobytes() == grouped.mean(axis=(0, 2)).tobytes()
-            assert ds.std.tobytes() == grouped.std(axis=(0, 2)).tobytes()
+            assert ds.mean.tobytes() == mean.tobytes()
+            assert ds.std.tobytes() == std.tobytes()
+
+    def test_byte_statistics_past_int64(self):
+        # N S2 - S1^2 = N^2 Var(v) > 2**63 at N = 30.72M pixels of mostly 0 or 255: the products need Python ints
+        rng = np.random.default_rng(8)
+        images = rng.integers(0, 2, size=(10000, 3072), dtype=np.uint8) * np.uint8(255)
+        images[:, 0] = rng.integers(0, 256, size=10000, dtype=np.uint8)
+        train = Dataset(images, np.zeros(10000, dtype=int), 1, "train")
+        s1 = int(images.sum(dtype=np.int64))
+        s2 = int(np.square(images, dtype=np.int64).sum())
+        assert images.size * s2 - s1 * s1 > 2**63
+        train_std, _ = standardize(train, train)
+        mean, std = byte_statistics_from_sums([s1], [s2], images.size)
+        assert train_std.mean.tobytes() == mean.tobytes()
+        assert train_std.std.tobytes() == std.tobytes()
 
     def test_byte_and_float_splits_cannot_mix(self):
         train = Dataset(np.arange(12, dtype=np.uint8).reshape(2, 6), np.array([0, 1]), 2, "train", channels=3)
@@ -360,6 +375,14 @@ class TestStandardize:
         images = np.tile(np.array([0.5, 0.5, 1.0, 2.0, 3.0, 4.0]), (4, 1))
         images[:, 2:] += np.arange(4)[:, None]
         ds = Dataset(images, np.zeros(4, dtype=int), 1, "train", channels=3)
+        with pytest.raises(ValueError, match="zero variance"):
+            standardize(ds, ds)
+
+    def test_constant_byte_channel_rejected(self):
+        # the second channel holds 7 in every pixel: N S2 = S1^2 exactly
+        images = np.random.default_rng(4).integers(0, 256, size=(300, 3072), dtype=np.uint8)
+        images[:, 1024:2048] = 7
+        ds = Dataset(images, np.zeros(300, dtype=int), 1, "train", channels=3)
         with pytest.raises(ValueError, match="zero variance"):
             standardize(ds, ds)
 

@@ -13,7 +13,10 @@ accuracy (``.12g``) are not the last ``test`` row of ``metrics.csv``. Both
 sides also run ``icmix gradcheck --seeds 20``, which must exit 0 and print the
 same output. One row per config gives the SHA-256 digests (first 16 hex
 digits) of ``metrics.csv`` and ``checkpoint.bin``, REV first where they
-differ. Exits 1 on any difference or failed command. CI runs it with REV =
+differ. Under a row that differs, ``tolerance`` gives, for each of the three
+artifacts that differs, the largest absolute and relative difference per
+numeric column of the CSV, or over all parameters of the checkpoint.
+Exits 1 on any difference or failed command. CI runs it with REV =
 HEAD on a clean checkout, which trains one commit in two fresh processes. The
 56 configs take about 2 minutes on a 2-vCPU machine.
 
@@ -33,7 +36,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+from icmix.container import read_container  # noqa: E402  (the working tree's reader)
+
 CIFAR_SEED = 0
 WORKLOAD_SEED = 7
 ARTIFACTS = ("metrics.csv", "checkpoint.bin", "curve.csv")
@@ -157,6 +165,44 @@ def compare(rev: Path, tree: Path) -> list[str]:
     return failed
 
 
+def _numbers(path: Path) -> dict[str, np.ndarray]:
+    """The numeric columns of a CSV artifact by name, or a checkpoint's parameters as one column."""
+    if path.suffix == ".bin":
+        return {"parameters": np.concatenate([a.ravel() for a in read_container(path)[2]])}
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    columns = {}
+    for name, values in zip(header, zip(*rows)):
+        try:
+            columns[name] = np.array([float(v) for v in values])
+        except ValueError:  # a text column, such as split
+            pass
+    return columns
+
+
+def tolerance(rev: Path, tree: Path) -> list[str]:
+    """One line per artifact that differs: the largest absolute and relative difference of each numeric column.
+
+    A relative difference is taken to the larger magnitude of the two values,
+    and is 0 where both are 0.
+    """
+    report = []
+    for f in ARTIFACTS:
+        if (rev / f).read_bytes() == (tree / f).read_bytes():
+            continue
+        a, b = _numbers(rev / f), _numbers(tree / f)
+        if a.keys() != b.keys() or any(a[k].shape != b[k].shape for k in a):
+            report.append(f"    {f}: columns or shapes differ")
+            continue
+        parts = []
+        for name in a:
+            diff = np.abs(a[name] - b[name])
+            scale = np.maximum(np.abs(a[name]), np.abs(b[name]))
+            rel = np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)
+            parts.append(f"{name} abs {diff.max(initial=0.0):.3g} rel {rel.max(initial=0.0):.3g}")
+        report.append(f"    {f}: {', '.join(parts)}")
+    return report
+
+
 def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
@@ -197,6 +243,8 @@ def main(argv: list[str]) -> int:
             print("  ".join(row + failed))
             if failed:
                 differing.append(name)
+                for line in tolerance(*outs.values()):
+                    print(line)
     print(f"{len(differing)} of {len(matrix) + 1} checks (gradcheck and each config) differ or failed: {differing}")
     return 1 if differing else 0
 
