@@ -33,6 +33,7 @@ from .harness import (
 from .losses import (
     LossResult,
     MixedScoreMatrix,
+    ScoreBuffer,
     grad_w_cc,
     grad_w_ci,
     grad_w_mixup,

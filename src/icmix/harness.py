@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .data import Dataset, load_cifar, longtail_subsample, standardize, stratified_subsample, synth_blobs
-from .losses import MixedScoreMatrix, grad_w_cc, grad_w_ci, grad_w_mixup, loss_cc, loss_ci, loss_ic_joint, loss_mixup_ce, mixed_scores
+from .losses import MixedScoreMatrix, ScoreBuffer, grad_w_cc, grad_w_ci, grad_w_mixup, loss_cc, loss_ci, loss_ic_joint, loss_mixup_ce, mixed_scores
 from .mixing import AXES, IC_METHODS, METHODS, REGMIXUP_METHODS, ClassHistogram, mix_batch, mix_weights, regmixup_compose
 from .model import ModelParams, backward, forward, init_model, save_checkpoint, sgd_step
 from .numerics import RngState, plan_epoch, round_half_up, softmax_log_z
@@ -342,18 +342,20 @@ def evaluate(params: ModelParams, ds: Dataset) -> EvalMetrics:
 
 
 def batch_loss_and_grads(params: ModelParams, method: MixConfig, inputs, labels,
-                         histogram: ClassHistogram, draws: tuple[np.ndarray, np.ndarray] | None):
+                         histogram: ClassHistogram, draws: tuple[np.ndarray, np.ndarray] | None,
+                         buffer: ScoreBuffer | None = None):
     """One training objective evaluation: mix (with ``draws``, see mix_batch), forward, loss, backward.
 
     Returns (loss value, parameter gradients, number of rows the loss
     averaged over). Contrastive methods score the batch against its own
-    interpolated classifiers; the others use soft-label cross-entropy.
+    interpolated classifiers, in ``buffer``'s memory if given; the others
+    use soft-label cross-entropy.
     """
     mixed = mix_batch(inputs, labels, method, histogram, draws)
     batch = regmixup_compose(inputs, labels, mixed) if method.regmixup else mixed
     cache = forward(params, batch.inputs)
     if method.contrastive:
-        ms = MixedScoreMatrix.from_logits(cache.logits, batch.mix_weights)
+        ms = MixedScoreMatrix.from_logits(cache.logits, batch.mix_weights, buffer)
         result = loss_ic_joint(ms, method.axes)
     else:
         result = loss_mixup_ce(cache.logits, batch.mix_weights)
@@ -424,6 +426,7 @@ def train(config: TrainConfig, out_dir=None) -> RunReport:
                         train_ds.num_classes, root.derive(_STREAM_INIT))
     loop_rng = root.derive(_STREAM_LOOP)
     momentum = np.zeros_like(params.flat)
+    scores = ScoreBuffer()
     spec = config.train
 
     keep_singletons = config.method.method == "none"
@@ -444,7 +447,7 @@ def train(config: TrainConfig, out_dir=None) -> RunReport:
             idx = order[start:stop]
             value, grads, n_rows = batch_loss_and_grads(
                 params, config.method, train_ds.rows(idx), train_ds.labels[idx], histogram,
-                (partners[start:stop], lambdas[start:stop]),
+                (partners[start:stop], lambdas[start:stop]), scores,
             )
             step += 1
             if not math.isfinite(value):

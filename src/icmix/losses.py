@@ -1,14 +1,26 @@
 """Training objectives over interpolated classifiers.
 
 A mixed sample's target is a classifier vector W @ y_tilde interpolated from
-the original class weights. Scoring a batch of B mixed samples against the
-B interpolated classifiers of that batch gives the B x B matrix
-``s_tilde = S @ Y_tilde.T`` whose diagonal holds the positive pairs. The two
-contrastive objectives are cross-entropy with diagonal targets along each
-axis of that matrix:
+the original class weights. A batch of B mixed samples holds B interpolated
+classifiers, but not B distinct ones: every clean row of a regmixup batch,
+every same-class pair and every row remix snaps to one class holds a
+one-hot classifier e_c. ``MixedScoreMatrix.from_logits`` groups the batch
+into its U distinct classifiers, keyed in O(B): a one-hot row by its class,
+every other row as its own classifier. It scores each sample against them,
+``s_tilde = S @ classifiers.T`` (B x U), and keeps each classifier's count
+n_u and each row's own column. The two contrastive objectives are
+cross-entropy along each axis of the B x B matrix ``s_tilde[:, column]``
+with diagonal targets, computed on B x U with each column weighted by its
+count:
 
   cc  rows:    each sample against every interpolated class in the batch
+               (a row softmax of s_tilde + log n)
   ci  columns: each interpolated class against every sample in the batch
+               (one column softmax per distinct classifier)
+
+This is the dense objective, not an approximation: a duplicate still counts
+as a negative, n_u times. When every classifier is distinct the operations
+are the dense ones in the same order, and give the same bits.
 
 The joint objective sums both. Standard soft-label mixup cross-entropy is
 included for the baselines, together with closed-form gradients of all
@@ -16,6 +28,7 @@ three objectives with respect to the final-layer weights. The closed forms
 follow the sum-over-batch log-likelihood (ascent) convention, so each
 equals -B times the gradient of the corresponding mean loss; they exist to
 cross-check the chain-rule path and are verified against it in the tests.
+They expand ``s_tilde`` to B x B, so they stay a separate computation.
 
 All losses reduce by mean over the batch, and gradients are taken with
 respect to the logits S; propagation into W and the network body is the
@@ -32,28 +45,82 @@ from .mixing import AXES
 from .numerics import softmax_log_z
 
 
+class ScoreBuffer:
+    """Memory for the B x U arrays of each batch's contrastive loss, kept for a whole run.
+
+    Allocated fresh for every batch, these arrays change size with U; freed
+    into the heap, they left 0-13 MB resident between batches, depending on
+    the sequence of U, so a run's peak memory depended on its seed. One
+    buffer of 2 B^2 entries, taken on first use and touched only as far as
+    the largest U reaches, holds them for every batch instead.
+    """
+
+    def __init__(self) -> None:
+        self._flat = np.empty(0)
+
+    def take(self, b: int, u: int) -> tuple[np.ndarray, np.ndarray]:
+        """Two B x U arrays over the buffer; the next call reuses their memory."""
+        if self._flat.size < 2 * b * u:
+            self._flat = np.empty(0)  # free the old buffer before allocating its successor
+            self._flat = np.empty(2 * b * b)
+        n = b * u
+        return self._flat[:n].reshape(b, u), self._flat[n:2 * n].reshape(b, u)
+
+
 @dataclass
 class MixedScoreMatrix:
-    """Logits to the original classes plus scores to the in-batch mixed classes.
+    """Logits to the original classes plus scores to the batch's distinct interpolated classifiers.
 
-    ``s`` is B x C (features against the original classifiers), ``s_tilde``
-    the B x B product s @ mix_weights.T, and ``mix_weights`` the B x C matrix
-    of per-sample class contributions.
+    ``s`` is B x C (features against the original classifiers),
+    ``classifiers`` the U x C distinct rows of the batch's mix weights in
+    order of first occurrence, ``counts`` how many rows hold each,
+    ``column`` each row's own classifier, and ``s_tilde`` the B x U product
+    s @ classifiers.T. The B x B dense score matrix is ``s_tilde[:, column]``.
+    ``work`` is a B x U array that each loss call overwrites.
     """
 
     s: np.ndarray
     s_tilde: np.ndarray
-    mix_weights: np.ndarray
+    classifiers: np.ndarray
+    counts: np.ndarray
+    column: np.ndarray
+    work: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
-    def from_logits(cls, s: np.ndarray, mix_weights: np.ndarray) -> "MixedScoreMatrix":
+    def from_logits(cls, s: np.ndarray, mix_weights: np.ndarray,
+                    buffer: ScoreBuffer | None = None) -> "MixedScoreMatrix":
+        """Group the B x C ``mix_weights`` rows and score ``s`` against each distinct one.
+
+        A row whose only nonzero entry is exactly 1.0 is e_c and is keyed by
+        c; every other row is its own classifier, so unequal rows never merge.
+        With ``buffer``, ``s_tilde`` and ``work`` live in its memory and hold
+        only until its next use.
+        """
         s = np.asarray(s, dtype=np.float64)
         mix_weights = np.asarray(mix_weights, dtype=np.float64)
         if s.ndim != 2 or mix_weights.ndim != 2 or s.shape != mix_weights.shape:
             raise ValueError(
                 f"logits {s.shape} and mix weights {mix_weights.shape} must both be B x C"
             )
-        return cls(s, s @ mix_weights.T, mix_weights)
+        b, c = s.shape
+        rows = np.arange(b)
+        hot = (mix_weights.max(axis=1) == 1.0) & (np.count_nonzero(mix_weights, axis=1) == 1)
+        hot_class = mix_weights.argmax(axis=1)
+        first = np.full(c, b)  # the first row holding each one-hot class
+        np.minimum.at(first, hot_class[hot], rows[hot])
+        owner = np.where(hot, first[hot_class], rows)  # the first row holding each row's classifier
+        leads = owner == rows
+        column = (np.cumsum(leads) - 1)[owner]
+        classifiers = mix_weights[leads]
+        u = len(classifiers)
+        s_tilde, work = (np.empty((b, u)), np.empty((b, u))) if buffer is None else buffer.take(b, u)
+        np.matmul(s, classifiers.T, out=s_tilde)
+        return cls(s, s_tilde, classifiers, np.bincount(column, minlength=u), column, work)
+
+    @property
+    def mix_weights(self) -> np.ndarray:
+        """The B x C mix weights, each row its own classifier."""
+        return self.classifiers[self.column]
 
 
 @dataclass
@@ -78,29 +145,42 @@ def mixed_scores(r: np.ndarray, w: np.ndarray, y_tilde: np.ndarray) -> MixedScor
 
 
 def _diagonal_ce(ms: MixedScoreMatrix, axis: int) -> LossResult:
-    """Cross-entropy along ``axis`` of s_tilde with diagonal targets, from one exponential.
+    """Cross-entropy along ``axis`` of s_tilde[:, column] with diagonal targets, on the B x U scores.
 
-    Sums run along ``axis`` of s_tilde itself: a contiguous transpose would sum in another order.
+    cc (axis 1) is a row softmax of s_tilde + log n, which counts classifier
+    u n_u times; ci (axis 0) is one column softmax per distinct classifier,
+    whose column u then stands for n_u equal columns. Sums run along
+    ``axis`` of s_tilde itself: a contiguous transpose would sum in another order.
     """
-    z, log_z = softmax_log_z(ms.s_tilde, axis)
-    z.flat[:: len(z) + 1] -= 1.0  # softmax minus the identity
-    z /= len(z)
-    return LossResult(float(np.mean(log_z - np.diag(ms.s_tilde))), z @ ms.mix_weights)
+    rows = np.arange(len(ms.column))
+    diag = ms.s_tilde[rows, ms.column]
+    if axis == 1:
+        z = np.add(ms.s_tilde, np.log(ms.counts), out=ms.work)
+        z, log_z = softmax_log_z(z, 1, out=z)
+    else:
+        z, log_z = softmax_log_z(ms.s_tilde, 0, out=ms.work)
+        z *= ms.counts
+        log_z = log_z[ms.column]
+    z[rows, ms.column] -= 1.0  # softmax minus each row's own classifier
+    z /= len(rows)
+    return LossResult(float(np.mean(log_z - diag)), z @ ms.classifiers)
 
 
 def loss_cc(ms: MixedScoreMatrix) -> LossResult:
-    """Class-axis contrastive loss: each row of s_tilde against its diagonal.
+    """Class-axis contrastive loss: each sample's row of s_tilde against its own column.
 
-    Negatives are the other interpolated classes scored on the same sample.
+    Negatives are the other interpolated classes scored on the same sample,
+    a duplicate of its own classifier included.
     """
     return _diagonal_ce(ms, axis=1)
 
 
 def loss_ci(ms: MixedScoreMatrix) -> LossResult:
-    """Pair-axis contrastive loss: each column of s_tilde against its diagonal.
+    """Pair-axis contrastive loss: each sample's own column of s_tilde against its row.
 
     Negatives are the other mixed samples scored with the same interpolated
-    classifier; identical to loss_cc applied to s_tilde transposed.
+    classifier; identical to loss_cc applied to the dense s_tilde[:, column]
+    transposed.
     """
     return _diagonal_ce(ms, axis=0)
 
@@ -159,8 +239,9 @@ def grad_w_cc(r: np.ndarray, ms: MixedScoreMatrix) -> np.ndarray:
     estimated over the batch's interpolated classes. Ascent convention.
     """
     r = np.asarray(r, dtype=np.float64)
-    p, _ = softmax_log_z(ms.s_tilde)
-    return r.T @ (ms.mix_weights - p @ ms.mix_weights)
+    y = ms.mix_weights
+    p, _ = softmax_log_z(ms.s_tilde[:, ms.column])
+    return r.T @ (y - p @ y)
 
 
 def grad_w_ci(r: np.ndarray, ms: MixedScoreMatrix) -> np.ndarray:
@@ -172,6 +253,6 @@ def grad_w_ci(r: np.ndarray, ms: MixedScoreMatrix) -> np.ndarray:
     convention.
     """
     r = np.asarray(r, dtype=np.float64)
-    q, _ = softmax_log_z(ms.s_tilde, axis=0)  # q[j, i] = p_ci(class i | sample j)
+    q, _ = softmax_log_z(ms.s_tilde[:, ms.column], axis=0)  # q[j, i] = p_ci(class i | sample j)
     centered = r.T - r.T @ q  # column i: r_i - expected feature under class i
     return centered @ ms.mix_weights

@@ -53,19 +53,20 @@ def matrix(data, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def softmax_log_z(m: np.ndarray, axis: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def softmax_log_z(m: np.ndarray, axis: int = 1, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Softmax along ``axis`` of a 2-D array and the log normalizer of each slice.
 
-    Max-shifted, with one exponential: ``p`` is a new array of ``m``'s shape,
-    and ``log_z = max + log(sum(exp(m - max)))`` along ``axis``, exact for a
-    single element. Adding a constant to a slice leaves its softmax unchanged
-    and shifts its ``log_z`` by the constant. Raises on an empty reduction.
+    Max-shifted, with one exponential: ``p`` is ``out`` (which may be ``m``
+    itself) or a new array of ``m``'s shape, and ``log_z = max +
+    log(sum(exp(m - max)))`` along ``axis``, exact for a single element.
+    Adding a constant to a slice leaves its softmax unchanged and shifts its
+    ``log_z`` by the constant. Raises on an empty reduction.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[axis] < 1:
         raise ValueError(f"empty reduction or not 2-D: shape {m.shape}, axis {axis}")
     mx = np.max(m, axis=axis, keepdims=True)
-    p = m - mx
+    p = np.subtract(m, mx, out=out)
     np.exp(p, out=p)
     sums = np.sum(p, axis=axis, keepdims=True)
     log_z = mx.ravel() + np.log(sums.ravel())

@@ -108,16 +108,28 @@ def _set_bias(run: Path) -> None:
 
 @pytest.mark.parametrize("change, report", [
     (lambda run: (run / "metrics.csv").write_text(METRICS.replace("1,test,0.6875", "1,test,0.625")),
-     "    metrics.csv: epoch abs 0 rel 0, loss abs 0.0625 rel 0.0909, accuracy abs 0 rel 0, lr abs 0 rel 0"),
-    (lambda run: (run / "curve.csv").write_text("lambda,mean_feature_sq_norm\n0,1.5\n1,2.5\n"),
-     "    curve.csv: lambda abs 0 rel 0, mean_feature_sq_norm abs 0.25 rel 0.1"),
-    (_set_bias, "    checkpoint.bin: parameters abs 0.125 rel 0.333"),
+     "    metrics.csv: epoch abs 0 rel 0, loss abs 0.0625 rel 0.0902, accuracy abs 0 rel 0, lr abs 0 rel 0"),
+    (lambda run: (run / "curve.csv").write_text("lambda,mean_feature_sq_norm\n0,1.75\n1,2.25\n"),
+     "    curve.csv: lambda abs 0 rel 0, mean_feature_sq_norm abs 0.25 rel 0.111"),
+    (_set_bias, "    checkpoint.bin: array 0 abs 0 rel 0, array 1 abs 0.125 rel 0.25"),
 ], ids=["metrics", "curve", "checkpoint"])
 def test_tolerance_reports_the_largest_differences(tool, tmp_path, change, report):
-    # relative to the larger magnitude, and 0 (not nan) where both values are 0
+    # relative to the array's largest magnitude on either side (loss 0.693147180560, curve 2.25, bias 0.5)
     rev, tree = _write_run(tmp_path / "rev"), _write_run(tmp_path / "tree")
     change(tree)
     assert tool.tolerance(rev, tree) == [report]
+
+
+def test_tolerance_is_not_decided_by_entries_near_zero(tool, tmp_path):
+    # a parameter that moves off 0 by 2**-60 reads as 2**-60 / 0.5, not as 1; an all-zero array reads 0, not nan
+    rev, tree = _write_run(tmp_path / "rev"), _write_run(tmp_path / "tree")
+    weights, bias = (a.copy() for a in PARAMETERS)
+    weights[1, 2] += 2.0 ** -50
+    bias[2] = 2.0 ** -60
+    write_container(rev / "checkpoint.bin", KIND_CHECKPOINT, (0, 0), [*PARAMETERS, np.zeros(2)])
+    write_container(tree / "checkpoint.bin", KIND_CHECKPOINT, (0, 0), [weights, bias, np.zeros(2)])
+    assert tool.tolerance(rev, tree) == [
+        "    checkpoint.bin: array 0 abs 8.88e-16 rel 1.48e-16, array 1 abs 8.67e-19 rel 1.73e-18, array 2 abs 0 rel 0"]
 
 
 def test_tolerance_names_columns_that_do_not_line_up(tool, tmp_path):

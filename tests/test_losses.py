@@ -1,11 +1,13 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from icmix.losses import (
     MixedScoreMatrix,
+    ScoreBuffer,
     grad_w_cc,
     grad_w_ci,
     grad_w_mixup,
@@ -15,7 +17,7 @@ from icmix.losses import (
     loss_mixup_ce,
     mixed_scores,
 )
-from icmix.mixing import one_hot
+from icmix.mixing import AXES, mix_weights, one_hot
 from icmix.numerics import RngState, softmax_log_z
 
 from oracles import (
@@ -58,6 +60,30 @@ def _large_instances(seed):
     yield _regmixup_instance(seed + 2, b=32, c=3, d=5)
 
 
+def _distinct_instances(seed):
+    """Batches whose B classifiers are all distinct: b distinct labels, so no two one-hot rows share a class.
+
+    Small, then past numpy's 8-entry pairwise-summation threshold.
+    """
+    for i, (b, c, d) in enumerate([(3, 4, 5), (8, 50, 6), (64, 500, 6), (300, 300, 4)]):
+        rng = RngState(seed + i)
+        r = rng.normals(b * d).reshape(b, d)
+        w = 0.7 * rng.normals(d * c).reshape(d, c)
+        labels = rng.permutation(c)[:b]
+        lam = np.array([rng.sample_beta(1.0) for _ in range(b)])
+        yield r, w, mix_weights(labels, rng.permutation(b), lam, c)
+
+
+def _dense(ms):
+    """The B x B score matrix that the B x U one stands for."""
+    return ms.s_tilde[:, ms.column]
+
+
+def _scores(m):
+    """A score matrix whose s_tilde is exactly ``m``: every row its own one-hot classifier."""
+    return MixedScoreMatrix.from_logits(m, np.eye(len(m)))
+
+
 class TestMixedScores:
     def test_identity_weights_give_logits(self):
         rng = RngState(3)
@@ -79,7 +105,13 @@ class TestMixedScores:
     def test_matches_per_pair_oracle(self):
         r, w, y = _instance(5, b=5, c=7, d=3)
         ms = mixed_scores(r, w, y)
-        assert np.max(np.abs(ms.s_tilde - naive_mixed_scores(r, w, y))) < 1e-12
+        assert np.max(np.abs(_dense(ms) - naive_mixed_scores(r, w, y))) < 1e-12
+
+    def test_identity_weights_give_the_scores_exactly(self):
+        m = 1000.0 * RngState(6).normals(64).reshape(8, 8)
+        ms = _scores(m)
+        assert np.array_equal(ms.s_tilde, m)
+        assert np.array_equal(ms.column, np.arange(8))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -103,21 +135,23 @@ def test_shape_mismatch_is_a_value_error(call, message):
 
 class TestLossCc:
     def test_uniform_two_by_two(self):
-        ms = MixedScoreMatrix(np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2))
+        ms = _scores(np.zeros((2, 2)))
         assert loss_cc(ms).value == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_saturated_diagonal(self):
-        ms = MixedScoreMatrix(np.zeros((3, 3)), np.diag([50.0, 50.0, 50.0]), np.eye(3))
+        ms = _scores(np.diag([50.0, 50.0, 50.0]))
         assert loss_cc(ms).value < 1e-9
 
     def test_value_matches_bruteforce_normalizer(self):
         for r, w, y in [_instance(6, b=3, c=4, d=5), *_large_instances(60)]:
             ms = mixed_scores(r, w, y)
-            assert loss_cc(ms).value == pytest.approx(naive_contrastive_loss(ms.s_tilde, "cc"), abs=1e-12)
+            assert loss_cc(ms).value == pytest.approx(naive_contrastive_loss(_dense(ms), "cc"), abs=1e-12)
 
     def test_grad_is_dense_formula_bitwise(self):
-        for r, w, y in [_instance(6, b=3, c=4, d=5), *_large_instances(61)]:
+        # only where every classifier is distinct; batches with duplicates are in TestGroupedMatchesDense
+        for r, w, y in _distinct_instances(61):
             ms = mixed_scores(r, w, y)
+            assert ms.s_tilde.shape == (len(y), len(y))
             assert np.array_equal(loss_cc(ms).grad_s, dense_contrastive_grad_s(ms.s_tilde, y, "cc"))
 
     def test_grad_matches_finite_differences(self):
@@ -130,16 +164,15 @@ class TestLossCc:
         r, w, y = _instance(8, b=4, c=3, d=4)
         ms = mixed_scores(r, w, y)
         base = loss_cc(ms).value
-        shifted = ms.s_tilde.copy()
+        shifted = _dense(ms)
         shifted[2, :] += 123.456
-        ms_shift = MixedScoreMatrix(ms.s, shifted, y)
-        assert abs(loss_cc(ms_shift).value - base) < 1e-10
+        assert abs(loss_cc(_scores(shifted)).value - base) < 1e-10
 
 
 class TestLossCi:
     def test_uniform_gives_log_b(self):
         for b in (2, 3, 5):
-            ms = MixedScoreMatrix(np.zeros((b, b)), np.zeros((b, b)), np.eye(b))
+            ms = _scores(np.zeros((b, b)))
             assert loss_ci(ms).value == pytest.approx(math.log(b), abs=1e-12)
 
     def test_symmetric_matrix_equals_cc_exactly(self):
@@ -147,7 +180,7 @@ class TestLossCi:
             rng = RngState(9)
             a = rng.normals(b * b).reshape(b, b)
             sym = a + a.T
-            ms = MixedScoreMatrix(np.zeros((b, b)), sym, np.eye(b))
+            ms = _scores(sym)
             if b < 8:
                 assert loss_ci(ms).value == loss_cc(ms).value
             else:
@@ -158,11 +191,13 @@ class TestLossCi:
     def test_value_matches_bruteforce_normalizer(self):
         for r, w, y in [_instance(10, b=4, c=5, d=3), *_large_instances(100)]:
             ms = mixed_scores(r, w, y)
-            assert loss_ci(ms).value == pytest.approx(naive_contrastive_loss(ms.s_tilde, "ci"), abs=1e-12)
+            assert loss_ci(ms).value == pytest.approx(naive_contrastive_loss(_dense(ms), "ci"), abs=1e-12)
 
     def test_grad_is_dense_formula_bitwise(self):
-        for r, w, y in [_instance(10, b=4, c=5, d=3), *_large_instances(101)]:
+        # only where every classifier is distinct; batches with duplicates are in TestGroupedMatchesDense
+        for r, w, y in [_instance(10, b=4, c=5, d=3), *_distinct_instances(101)]:
             ms = mixed_scores(r, w, y)
+            assert ms.s_tilde.shape == (len(y), len(y))
             assert np.array_equal(loss_ci(ms).grad_s, dense_contrastive_grad_s(ms.s_tilde, y, "ci"))
 
     def test_grad_matches_finite_differences(self):
@@ -175,14 +210,14 @@ class TestLossCi:
         r, w, y = _instance(12, b=4, c=3, d=4)
         ms = mixed_scores(r, w, y)
         base = loss_ci(ms).value
-        shifted = ms.s_tilde.copy()
+        shifted = _dense(ms)
         shifted[:, 1] += -77.7
-        assert abs(loss_ci(MixedScoreMatrix(ms.s, shifted, y)).value - base) < 1e-10
+        assert abs(loss_ci(_scores(shifted)).value - base) < 1e-10
 
 
 class TestLossJoint:
     def test_uniform_gives_two_log_b(self):
-        ms = MixedScoreMatrix(np.zeros((4, 4)), np.zeros((4, 4)), np.eye(4))
+        ms = _scores(np.zeros((4, 4)))
         assert loss_ic_joint(ms, "both").value == pytest.approx(2.0 * math.log(4.0), abs=1e-12)
 
     def test_single_axis_selection(self):
@@ -201,9 +236,143 @@ class TestLossJoint:
             assert np.array_equal(joint.grad_s, loss_cc(ms).grad_s + loss_ci(ms).grad_s)
 
     def test_unknown_axes(self):
-        ms = MixedScoreMatrix(np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2))
+        ms = _scores(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="unknown axes"):
             loss_ic_joint(ms, "diag")
+
+
+def _rows(seed, labels, partners, lam_y, c, d=5):
+    """Features, weights and the package's target rows for given labels, partners and label ratios."""
+    rng = RngState(seed)
+    b = len(labels)
+    r = rng.normals(b * d).reshape(b, d)
+    w = 0.7 * rng.normals(d * c).reshape(d, c)
+    return r, w, mix_weights(np.asarray(labels), np.asarray(partners), np.asarray(lam_y, dtype=np.float64), c)
+
+
+def _duplicate_cases():
+    """Batches holding repeated one-hot classifiers, one source of repeats each."""
+    rng = RngState(70)
+    b = 64
+    lam = np.array([rng.sample_beta(1.0) for _ in range(b)])
+    snapped = np.where(np.arange(b) % 3 == 0, 0.0, np.where(np.arange(b) % 3 == 1, 1.0, lam))
+    fixed = np.arange(b)
+    fixed[:8] = fixed[:8][::-1]  # the other 56 rows are their own partners
+    return {
+        "regmixup": _regmixup_instance(71, b=128, c=10, d=6),
+        "same_class": _rows(72, np.arange(b) % 2, rng.permutation(b), lam, c=4),
+        "remix_snapped": _rows(73, np.arange(b) % 5, rng.permutation(b), snapped, c=5),
+        "fixed_point": _rows(74, np.arange(b) % 4, fixed, lam, c=4),
+    }
+
+
+DUPLICATE_CASES = _duplicate_cases()
+
+
+class TestGrouping:
+    def test_equal_one_hot_rows_merge_in_first_occurrence_order(self):
+        y = np.array([[0.25, 0.75, 0.0], [0.0, 0.0, 1.0], [0.25, 0.75, 0.0],
+                      [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        ms = MixedScoreMatrix.from_logits(RngState(75).normals(18).reshape(6, 3), y)
+        # equal mixed rows stay apart: only one-hot rows are keyed by class
+        assert ms.column.tolist() == [0, 1, 2, 1, 3, 1]
+        assert ms.counts.tolist() == [1, 3, 1, 1]
+        assert np.array_equal(ms.classifiers, y[[0, 1, 2, 4]])
+        assert np.array_equal(ms.mix_weights, y)
+        assert np.array_equal(ms.s_tilde, ms.s @ y[[0, 1, 2, 4]].T)
+
+    def test_unequal_rows_never_merge(self):
+        ulp = 2.0 ** -53
+        y = np.array([[1.0, 0.0, 0.0],
+                      [1.0 - ulp, ulp, 0.0],  # one ulp from e_0
+                      [1.0, 0.5, 0.0],  # largest entry 1.0, but not one-hot
+                      [0.0, 1.0, 0.0],
+                      [1.0, 0.0, 0.0]])
+        ms = MixedScoreMatrix.from_logits(np.zeros((5, 3)), y)
+        assert ms.column.tolist() == [0, 1, 2, 3, 0]
+        assert np.array_equal(ms.mix_weights, y)
+
+    @pytest.mark.parametrize("name", DUPLICATE_CASES)
+    def test_groups_hold_equal_rows_and_each_class_once(self, name):
+        r, w, y = DUPLICATE_CASES[name]
+        ms = mixed_scores(r, w, y)
+        assert len(ms.counts) < len(y)
+        assert np.array_equal(ms.mix_weights, y)  # every row is its own group's classifier, bit for bit
+        first = [int(np.flatnonzero(ms.column == u)[0]) for u in range(len(ms.counts))]
+        assert first == sorted(first)
+        assert np.array_equal(ms.counts, np.bincount(ms.column))
+        hot = [int(np.argmax(row)) for row in ms.classifiers if np.count_nonzero(row) == 1 and row.max() == 1.0]
+        assert len(hot) == len(set(hot))
+
+
+class TestGroupedMatchesDense:
+    @pytest.mark.parametrize("name", DUPLICATE_CASES)
+    def test_value_and_grad_within_1e13(self, name):
+        r, w, y = DUPLICATE_CASES[name]
+        ms = mixed_scores(r, w, y)
+        for axis, fn in (("cc", loss_cc), ("ci", loss_ci)):
+            res = fn(ms)
+            dense = dense_contrastive_grad_s(_dense(ms), y, axis)
+            assert np.max(np.abs(res.grad_s - dense)) <= 1e-13 * np.max(np.abs(dense))
+            assert res.value == pytest.approx(naive_contrastive_loss(_dense(ms), axis), rel=1e-13)
+
+    def test_loss_holds_less_than_one_dense_matrix(self):
+        s, y = _wide_batch()
+        ms = MixedScoreMatrix.from_logits(s, y)
+        tracemalloc.start()
+        try:
+            loss_ic_joint(ms, "both")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(s) ** 2 * 8
+
+
+def _wide_batch():
+    """Logits and mix weights of ic_regmixup's composite batch at batch size 1024: a one-hot clean half over a mixed half."""
+    b, c = 1024, 10
+    rng = RngState(76)
+    lam = np.array([rng.sample_beta(1.0) for _ in range(b)])
+    mixed = mix_weights(rng.permutation(b) % c, rng.permutation(b), lam, c)
+    y = np.vstack([one_hot(rng.permutation(b) % c, c), mixed])
+    return rng.normals(2 * b * c).reshape(2 * b, c), y
+
+
+class TestScoreBuffer:
+    def test_buffered_batches_give_the_unbuffered_bits(self):
+        # 64, 256, 64 and 64 rows: the buffer grows once, then later batches reuse it
+        buffer = ScoreBuffer()
+        for name in ("same_class", "regmixup", "remix_snapped", "fixed_point"):
+            r, w, y = DUPLICATE_CASES[name]
+            s = r @ w
+            ms, plain = MixedScoreMatrix.from_logits(s, y, buffer), MixedScoreMatrix.from_logits(s, y)
+            assert np.array_equal(ms.s_tilde, plain.s_tilde)
+            assert not np.shares_memory(ms.s_tilde, ms.work)
+            for axes in AXES:
+                got, want = loss_ic_joint(ms, axes), loss_ic_joint(plain, axes)
+                assert got.value == want.value
+                assert np.array_equal(got.grad_s, want.grad_s)
+
+    def test_later_batches_reuse_the_first_batch_memory(self):
+        buffer = ScoreBuffer()
+        first = MixedScoreMatrix.from_logits(*_wide_batch(), buffer)
+        r, w, y = DUPLICATE_CASES["regmixup"]
+        later = MixedScoreMatrix.from_logits(r @ w, y, buffer)
+        for array in (first.work, later.s_tilde, later.work):
+            assert array.base is first.s_tilde.base
+
+    def test_warm_buffer_allocates_no_score_array(self):
+        s, y = _wide_batch()
+        buffer = ScoreBuffer()
+        loss_ic_joint(MixedScoreMatrix.from_logits(s, y, buffer), "both")
+        tracemalloc.start()
+        try:
+            ms = MixedScoreMatrix.from_logits(s, y, buffer)
+            loss_ic_joint(ms, "both")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ms.s_tilde.nbytes / 8
 
 
 class TestLossMixupCe:
@@ -299,7 +468,7 @@ class TestGradWContrastive:
     def test_cc_fixed_point_saturated_identity(self):
         rng = RngState(23)
         r = rng.normals(16).reshape(4, 4)
-        ms = MixedScoreMatrix(np.zeros((4, 4)), np.diag([60.0] * 4), np.eye(4))
+        ms = _scores(np.diag([60.0] * 4))
         assert np.linalg.norm(grad_w_cc(r, ms)) < 1e-8
 
     def test_ci_identical_features_exactly_zero(self):
@@ -350,7 +519,7 @@ class TestStructuralInvariants:
         for b, c, d in [(2, 3, 2), (5, 7, 3), (16, 10, 8), (9, 4, 6)]:
             r, w, y = _instance(1000 + b + c + d, b=b, c=c, d=d)
             ms = mixed_scores(r, w, y)
-            assert np.max(np.abs(ms.s_tilde - naive_mixed_scores(r, w, y))) < 1e-12
+            assert np.max(np.abs(_dense(ms) - naive_mixed_scores(r, w, y))) < 1e-12
 
     def test_permutation_equivariance(self):
         r, w, y = _instance(42, b=6, c=4, d=5)
@@ -365,7 +534,7 @@ class TestStructuralInvariants:
     def test_extreme_score_magnitudes_stay_finite(self):
         rng = RngState(45)
         st = rng.normals(25).reshape(5, 5) * 1000.0
-        ms = MixedScoreMatrix(np.zeros((5, 5)), st, np.eye(5))
+        ms = _scores(st)
         for fn in (loss_cc, loss_ci, lambda m: loss_ic_joint(m, "both")):
             res = fn(ms)
             assert math.isfinite(res.value)
@@ -381,5 +550,5 @@ class TestStructuralInvariants:
         assert res.diagnostics["loss_cc"] + res.diagnostics["loss_ci"] == res.value
         # per-row loss terms, from the row and column normalizers, reconstruct each axis
         for axis, fn in ((1, loss_cc), (0, loss_ci)):
-            terms = softmax_log_z(ms.s_tilde, axis)[1] - np.diag(ms.s_tilde)
+            terms = softmax_log_z(_dense(ms), axis)[1] - np.diag(_dense(ms))
             assert np.mean(terms) == pytest.approx(fn(ms).value, abs=1e-15)
