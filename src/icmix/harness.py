@@ -311,23 +311,24 @@ def _check_class_count(params: ModelParams, ds: Dataset) -> None:
         raise ValueError(f"model outputs {params.num_classes} classes but dataset has {ds.num_classes}")
 
 
-# rows per eval block. A shorter tail joins the block before it, so no block of a split this
-# long is shorter: BLAS picks its kernels by row count, and blocks this long give every row the
-# bits of one forward pass over the whole split.
+# rows per eval block. A split of n >= _EVAL_ROWS rows runs as n // _EVAL_ROWS near-equal
+# blocks, so no block of it is shorter: BLAS picks its kernels by row count, and blocks this
+# long give every row the bits of one forward pass over the whole split.
 _EVAL_ROWS = 2048
 
 
 def evaluate(params: ModelParams, ds: Dataset) -> EvalMetrics:
     """Top-1 accuracy and mean cross-entropy against the original classes.
 
-    The split runs through ``forward`` in blocks of ``_EVAL_ROWS`` rows, the
-    last block taking the remainder, each made into features by
-    ``Dataset.rows`` in one reused buffer.
+    The split runs through ``forward`` in k = max(n // ``_EVAL_ROWS``, 1)
+    blocks whose sizes differ by at most one row, each made into features by
+    ``Dataset.rows`` in one reused buffer of ceil(n / k) rows.
     """
     _check_class_count(params, ds)
     n = ds.size
-    edges = [k * _EVAL_ROWS for k in range(max(n // _EVAL_ROWS, 1))] + [n]
-    buffer = np.empty((n - edges[-2], ds.images.shape[1]))
+    k = max(n // _EVAL_ROWS, 1)
+    edges = [n * i // k for i in range(k + 1)]
+    buffer = np.empty((-(-n // k), ds.images.shape[1]))
     predictions = np.empty(n, dtype=np.int64)
     log_likelihood = np.empty(n)
     for start, stop in zip(edges, edges[1:]):
@@ -343,13 +344,14 @@ def evaluate(params: ModelParams, ds: Dataset) -> EvalMetrics:
 
 def batch_loss_and_grads(params: ModelParams, method: MixConfig, inputs, labels,
                          histogram: ClassHistogram, draws: tuple[np.ndarray, np.ndarray] | None,
-                         buffer: ScoreBuffer | None = None):
+                         buffer: ScoreBuffer | None = None, grads: ModelParams | None = None):
     """One training objective evaluation: mix (with ``draws``, see mix_batch), forward, loss, backward.
 
     Returns (loss value, parameter gradients, number of rows the loss
     averaged over). Contrastive methods score the batch against its own
     interpolated classifiers, in ``buffer``'s memory if given; the others
-    use soft-label cross-entropy.
+    use soft-label cross-entropy. The gradients are written to ``grads``
+    when given (see ``backward``'s ``out``), and hold until its next use.
     """
     mixed = mix_batch(inputs, labels, method, histogram, draws)
     batch = regmixup_compose(inputs, labels, mixed) if method.regmixup else mixed
@@ -359,7 +361,7 @@ def batch_loss_and_grads(params: ModelParams, method: MixConfig, inputs, labels,
         result = loss_ic_joint(ms, method.axes)
     else:
         result = loss_mixup_ce(cache.logits, batch.mix_weights)
-    grads = backward(params, cache, result.grad_s)
+    grads = backward(params, cache, result.grad_s, out=grads)
     return result.value, grads, batch.size
 
 
@@ -426,7 +428,9 @@ def train(config: TrainConfig, out_dir=None) -> RunReport:
                         train_ds.num_classes, root.derive(_STREAM_INIT))
     loop_rng = root.derive(_STREAM_LOOP)
     momentum = np.zeros_like(params.flat)
+    # memory reused by every step: the contrastive scores and the gradient vector
     scores = ScoreBuffer()
+    grads = ModelParams(params.dims)
     spec = config.train
 
     keep_singletons = config.method.method == "none"
@@ -447,7 +451,7 @@ def train(config: TrainConfig, out_dir=None) -> RunReport:
             idx = order[start:stop]
             value, grads, n_rows = batch_loss_and_grads(
                 params, config.method, train_ds.rows(idx), train_ds.labels[idx], histogram,
-                (partners[start:stop], lambdas[start:stop]), scores,
+                (partners[start:stop], lambdas[start:stop]), scores, grads,
             )
             step += 1
             if not math.isfinite(value):

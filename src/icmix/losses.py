@@ -213,7 +213,7 @@ def loss_mixup_ce(s: np.ndarray, y_tilde: np.ndarray) -> LossResult:
         raise ValueError(f"logits {s.shape} and targets {y_tilde.shape} must match")
     b = s.shape[0]
     p, log_z = softmax_log_z(s)
-    value = float(-np.sum(y_tilde * (s - log_z[:, None])) / b)
+    value = float(-(y_tilde * (s - log_z[:, None])).sum() / b)
     p -= y_tilde
     p /= b
     return LossResult(value, p)

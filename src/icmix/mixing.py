@@ -83,10 +83,17 @@ def mix_weights(labels, partners, lam_y, num_classes: int) -> np.ndarray:
     """Target rows lam_y[i] * e(labels[i]) + (1 - lam_y[i]) * e(labels[partners[i]]).
 
     The one row rule: a mixed row, a remix row (lam_y snapped to 0 or 1) and
-    a clean row (its own partner, lam_y = 1) are all built here.
+    a clean row (its own partner, lam_y = 1) are all built here. Each row
+    starts at zero, takes lam_y at its own class, then adds 1 - lam_y at its
+    partner's class. These are the bits of ``one_hot(labels) * lam_y[:, None]``
+    plus the partner term, since 1.0 * lam is lam and 0.0 * lam is +0.0 for
+    every ratio in [0, 1].
     """
-    out = one_hot(labels, num_classes) * lam_y[:, None]
-    out[np.arange(out.shape[0]), np.asarray(labels)[partners]] += 1.0 - lam_y
+    labels = _checked_labels(labels, num_classes)
+    rows = np.arange(labels.shape[0])
+    out = np.zeros((labels.shape[0], num_classes))
+    out[rows, labels] = lam_y
+    out[rows, labels[partners]] += 1.0 - lam_y
     return out
 
 
@@ -97,15 +104,16 @@ def remix_label_ratio(lam, n_i, n_j, tau: float, kappa: float):
     and lam < tau, 1 in the mirrored case, and lam otherwise; when both
     cases hold, 0 wins. The input interpolation ratio itself is never
     touched; only the label side is reassigned, which biases mixed labels
-    toward the rarer class. Scalar arguments give a scalar.
+    toward the rarer class. Scalar arguments give a scalar. The snap to 1
+    is applied first and the snap to 0 stored over it, which is how 0 wins.
     """
     lam, n_i, n_j = np.asarray(lam, dtype=np.float64), np.asarray(n_i), np.asarray(n_j)
-    if np.any(n_i < 1) or np.any(n_j < 1):
+    if (n_i < 1).any() or (n_j < 1).any():
         raise ValueError("class counts must be >= 1")
     ratio = n_i / n_j
-    to_zero = (ratio >= kappa) & (lam < tau)
-    to_one = (ratio <= 1.0 / kappa) & (1.0 - lam < tau)
-    return np.where(to_zero, 0.0, np.where(to_one, 1.0, lam))[()]
+    out = np.where((ratio <= 1.0 / kappa) & (1.0 - lam < tau), 1.0, lam)
+    out[(ratio >= kappa) & (lam < tau)] = 0.0
+    return out[()]
 
 
 def mix_batch(
@@ -146,14 +154,22 @@ def mix_batch(
         counts = histogram.counts
         lam_y = remix_label_ratio(lambdas, counts[labels], counts[labels[perm]], config.tau, config.kappa)
     weights = mix_weights(labels, perm, lam_y, histogram.num_classes)
-    return MixBatch(mixed_inputs, weights, lambdas, np.stack([np.arange(b), perm], axis=1))
+    return MixBatch(mixed_inputs, weights, lambdas, _pairs(np.arange(b), perm))
+
+
+def _pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The (B, 2) int64 ``pair_indices`` of a batch."""
+    pairs = np.empty((first.shape[0], 2), dtype=np.int64)
+    pairs[:, 0] = first
+    pairs[:, 1] = second
+    return pairs
 
 
 def _clean(inputs: np.ndarray, labels: np.ndarray, num_classes: int) -> MixBatch:
     """The batch unmixed: each row its own partner, lambda 1, one-hot weights."""
     rows = np.arange(inputs.shape[0])
     ones = np.ones(inputs.shape[0], dtype=np.float64)
-    return MixBatch(inputs, mix_weights(labels, rows, ones, num_classes), ones, np.stack([rows, rows], axis=1))
+    return MixBatch(inputs, mix_weights(labels, rows, ones, num_classes), ones, _pairs(rows, rows))
 
 
 def regmixup_compose(clean_inputs: np.ndarray, clean_labels, mixed: MixBatch) -> MixBatch:

@@ -124,12 +124,20 @@ def forward(params: ModelParams, inputs: np.ndarray) -> ForwardCache:
     return ForwardCache(x, act, h, logits)
 
 
-def backward(params: ModelParams, cache: ForwardCache, grad_logits: np.ndarray) -> ModelParams:
-    """Gradients for every parameter, in the layout of ``params``, given d(loss)/d(logits)."""
+def backward(params: ModelParams, cache: ForwardCache, grad_logits: np.ndarray,
+             out: ModelParams | None = None) -> ModelParams:
+    """Gradients for every parameter, in the layout of ``params``, given d(loss)/d(logits).
+
+    They are written to ``out`` when given, which must have ``params.dims``;
+    every entry of it is overwritten, so a training run can reuse one gradient
+    vector for all its steps. Without ``out``, a new vector is returned.
+    """
     grad_logits = np.asarray(grad_logits, dtype=np.float64)
     if grad_logits.shape != cache.logits.shape:
         raise ValueError(f"grad_logits {grad_logits.shape} != logits {cache.logits.shape}")
-    grads = ModelParams(params.dims, np.empty_like(params.flat))
+    grads = ModelParams(params.dims, np.empty_like(params.flat)) if out is None else out
+    if grads.dims != params.dims:
+        raise ValueError(f"out has widths {grads.dims}, params have {params.dims}")
     np.matmul(cache.features.T, grad_logits, out=grads.final_weights)
     # upstream gradient and the weights it flows back through; the gradient
     # with respect to the inputs is never formed, since nothing reads it

@@ -65,10 +65,10 @@ def softmax_log_z(m: np.ndarray, axis: int = 1, out: np.ndarray | None = None) -
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[axis] < 1:
         raise ValueError(f"empty reduction or not 2-D: shape {m.shape}, axis {axis}")
-    mx = np.max(m, axis=axis, keepdims=True)
+    mx = m.max(axis=axis, keepdims=True)
     p = np.subtract(m, mx, out=out)
     np.exp(p, out=p)
-    sums = np.sum(p, axis=axis, keepdims=True)
+    sums = p.sum(axis=axis, keepdims=True)
     log_z = mx.ravel() + np.log(sums.ravel())
     p /= sums
     return p, log_z

@@ -378,6 +378,27 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="classes"):
             evaluate(params, ds_train)
 
+    @pytest.mark.parametrize("n, edges", [
+        (1, [0, 1]), (2047, [0, 2047]), (2048, [0, 2048]), (4095, [0, 4095]), (4096, [0, 2048, 4096]),
+        (5000, [0, 2500, 5000]), (10000, [0, 2500, 5000, 7500, 10000]),
+        (12287, [0, 2457, 4914, 7372, 9829, 12287]),
+    ])
+    def test_blocks_are_near_equal_in_one_buffer_of_the_largest(self, monkeypatch, n, edges):
+        ds = Dataset(RngState(28).normals(n * 2).reshape(n, 2), np.zeros(n, dtype=np.int64), 2, "test")
+        seen = []
+        rows = Dataset.rows
+
+        def recording_rows(self, idx, out=None):
+            seen.append((idx.start, idx.stop, out.base.shape))
+            return rows(self, idx, out)
+
+        monkeypatch.setattr(Dataset, "rows", recording_rows)
+        evaluate(init_model(2, [3], 2, RngState(29)), ds)
+        assert [start for start, _, _ in seen] + [seen[-1][1]] == edges
+        # one buffer of ceil(n / k) rows for every block; each block holds at least min(n, 2048) rows
+        assert {shape for _, _, shape in seen} == {(max(np.diff(edges)), 2)}
+        assert min(np.diff(edges)) >= min(n, 2048)
+
 
 @pytest.fixture(scope="module")
 def cifar_test_splits(cifar10_dir):
@@ -520,6 +541,22 @@ class TestTrain:
             train(_blob_config(method="ic_mixup", epochs=3), out_dir=tmp_path / "run")
         assert (err.value.epoch, err.value.step) == (1, 5)
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("method", ["remix", "ic_regmixup"])
+    def test_one_gradient_vector_per_run(self, monkeypatch, method):
+        built = []
+        init = ModelParams.__init__
+
+        def counting_init(self, dims, flat=None):
+            built.append(tuple(dims))
+            init(self, dims, flat)
+
+        monkeypatch.setattr(ModelParams, "__init__", counting_init)
+        for epochs, batch_size in ((1, 64), (3, 64), (3, 16)):  # 5, 15 and 57 steps
+            built.clear()
+            train(_blob_config(method=method, epochs=epochs, batch_size=batch_size))
+            # the parameters and one gradient vector, however many steps the run takes
+            assert built == [(10, 32, 3)] * 2
 
     def test_lr_schedule_recorded(self):
         cfg = train_config_from_dict({

@@ -6,6 +6,7 @@ from icmix.mixing import (
     ClassHistogram,
     MixBatch,
     mix_batch,
+    mix_weights,
     one_hot,
     regmixup_compose,
     remix_label_ratio,
@@ -191,6 +192,17 @@ class TestRemixRule:
         with pytest.raises(ValueError):
             remix_label_ratio(0.5, 0, 10, 0.5, 3.0)
 
+    def test_scalars_give_a_scalar(self):
+        for lam, n_i, n_j, expected in ((0.4, 500, 100, 0.0), (0.8, 100, 500, 1.0), (0.6, 300, 300, 0.6)):
+            out = remix_label_ratio(lam, n_i, n_j, 0.5, 3.0)
+            assert type(out) is np.float64 and out == expected
+
+    def test_zero_wins_when_both_snaps_fire(self):
+        # kappa 1 and equal counts meet both count rules; at tau 0.8 both ratio tests hold for lam in (0.2, 0.8)
+        lam = np.array([0.3, 0.5, 0.7, 0.9, 0.1])
+        assert np.array_equal(remix_label_ratio(lam, 4, 4, 0.8, 1.0), [0.0, 0.0, 0.0, 1.0, 0.0])
+        assert remix_label_ratio(0.5, 4, 4, 0.8, 1.0) == 0.0
+
 
 def test_remix_batch_uses_histogram_counts():
     # class 0 hugely outnumbers class 1; a 0->1 pair with small lam flips to 0
@@ -333,6 +345,36 @@ class TestPerRowOracle:
         _assert_matches_oracle(inputs, labels, MixConfig(method="none"), np.array([3, 1, 1]), None, RngState(0))
 
 
+def _one_hot_formula(labels, partners, lam_y, c):
+    """The row rule as a product: lam_y times a one-hot matrix, plus 1 - lam_y at each partner's class."""
+    out = one_hot(labels, c) * lam_y[:, None]
+    out[np.arange(out.shape[0]), labels[partners]] += 1.0 - lam_y
+    return out
+
+
+@pytest.mark.parametrize("labels, partners, lam_y", [
+    ([0, 1, 2, 1], [1, 0, 3, 2], [0.0, 1.0, 0.0, 1.0]),  # remix snaps: each row all one class
+    ([2, 2, 0, 0], [1, 0, 3, 2], [0.3, 0.7, 0.0, 1.0]),  # same-class pairs
+    ([0, 1, 2, 3], [0, 1, 3, 2], [0.25, 1.0, 0.6, 0.4]),  # rows 0 and 1 are their own partners
+    ([0, 3, 1, 1, 2, 0], [5, 2, 1, 4, 0, 3], [0.5, 0.125, 1 / 3, 0.999, 1e-300, 5e-324]),
+], ids=["snapped", "same_class", "fixed_point", "mixed"])
+def test_mix_weights_equal_the_one_hot_formula_bitwise(labels, partners, lam_y):
+    labels, partners, lam_y = np.array(labels), np.array(partners), np.array(lam_y)
+    got = mix_weights(labels, partners, lam_y, 5)
+    assert np.array_equal(_bits(got), _bits(_one_hot_formula(labels, partners, lam_y, 5)))
+
+
+def test_mix_weights_equal_the_one_hot_formula_on_random_batches():
+    rng = RngState(32)
+    for _ in range(50):
+        b, c = 1 + rng.randbelow(40), 1 + rng.randbelow(8)
+        labels = np.array([rng.randbelow(c) for _ in range(b)])
+        partners = rng.permutation(b)
+        lam_y = np.array([(0.0, 1.0, rng.sample_beta(0.3))[rng.randbelow(3)] for _ in range(b)])
+        got = mix_weights(labels, partners, lam_y, c)
+        assert np.array_equal(_bits(got), _bits(_one_hot_formula(labels, partners, lam_y, c)))
+
+
 def test_remix_label_ratio_elementwise_equals_scalar():
     rng = RngState(31)
     n = 400
@@ -361,6 +403,8 @@ def test_out_of_range_label_is_a_value_error(method, bad):
     (lambda: ClassHistogram(np.array([3, -1, 2])), "counts must be a 1-D vector of non-negative integers"),
     (lambda: ClassHistogram(np.ones((2, 3))), "counts must be a 1-D vector of non-negative integers"),
     (lambda: one_hot(np.zeros((2, 1)), 3), "labels must be 1-D"),
+    (lambda: mix_weights(np.zeros((2, 1)), np.array([1, 0]), np.ones(2), 3), "labels must be 1-D"),
+    (lambda: mix_weights(np.array([0, 3]), np.array([1, 0]), np.ones(2), 3), r"labels must lie in \[0, 3\)"),
     (lambda: mix_batch(np.zeros((2, 2)), np.zeros((2, 1)), MixConfig(method="mixup"), ClassHistogram([1, 1]),
                        _plan(RngState(0), 2)), "labels must be 1-D"),
     (lambda: mix_batch(np.zeros((3, 2)), np.array([0, 1]), MixConfig(method="mixup"), ClassHistogram([1, 1]),
@@ -370,8 +414,8 @@ def test_out_of_range_label_is_a_value_error(method, bad):
     (lambda: regmixup_compose(np.zeros((2, 2)), np.array([0, 1, 1]),
                               MixBatch(np.zeros((2, 2)), np.eye(2), np.ones(2), np.zeros((2, 2), dtype=np.int64))),
      "clean labels length must match the batch size"),
-], ids=["negative_count", "counts_2d", "one_hot_labels_2d", "mix_labels_2d", "mix_fewer_labels", "clean_more_labels",
-        "compose_more_labels"])
+], ids=["negative_count", "counts_2d", "one_hot_labels_2d", "mix_weights_labels_2d", "mix_weights_label_3",
+        "mix_labels_2d", "mix_fewer_labels", "clean_more_labels", "compose_more_labels"])
 def test_malformed_counts_and_labels_are_value_errors(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -87,6 +87,25 @@ class TestBackward:
         got = [t for _, t in _param_tensors(backward(params, cache, grad_logits))]
         assert np.array_equal(_bits(got), _bits(backward_per_layer(params, cache, grad_logits)))
 
+    @pytest.mark.parametrize("hidden_dims", [[], [16], [16, 8]])
+    def test_out_is_overwritten_and_returned(self, hidden_dims):
+        rng = RngState(14)
+        params = _random_net(15, 24, hidden_dims, 5)
+        out = ModelParams(params.dims)
+        out.flat[:] = np.nan  # every entry must be written
+        for b in (40, 7):  # a second batch through the same vector
+            cache = forward(params, rng.normals(b * 24).reshape(b, 24))
+            grad_logits = rng.normals(b * 5).reshape(b, 5)
+            assert backward(params, cache, grad_logits, out=out) is out
+            assert np.array_equal(out.flat.view(np.uint64), backward(params, cache, grad_logits).flat.view(np.uint64))
+
+    @pytest.mark.parametrize("dims", [[24, 16, 4], [24, 8, 5], [24, 5], [24, 16, 8, 5]])
+    def test_out_of_other_widths_is_a_value_error(self, dims):
+        params = _random_net(16, 24, [16], 5)
+        cache = forward(params, np.zeros((2, 24)))
+        with pytest.raises(ValueError, match=r"out has widths .*, params have \[24, 16, 5\]"):
+            backward(params, cache, np.zeros((2, 5)), out=ModelParams(dims))
+
 
 def _param_tensors(params):
     for i, layer in enumerate(params.hidden):
