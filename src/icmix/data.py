@@ -1,8 +1,9 @@
 """Dataset ingestion and construction.
 
 Parses the CIFAR-10/100 binary archives into uint8 pixel rows, supports
-stratified fractional subsampling and exponential long-tailed subsampling,
-and generates synthetic Gaussian blobs for fast deterministic experiments.
+stratified fractional subsampling and exponential long-tailed subsampling
+as row selections on labels (a subsampled CIFAR split reads only the
+records it keeps), and generates synthetic Gaussian blobs for fast deterministic experiments.
 Every split keeps the samples it was loaded or generated with, uint8 pixels
 or float64 blobs: ``standardize`` only fits per-channel statistics on the
 training split actually used and attaches them to both splits, and
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -38,6 +40,8 @@ _CIFAR = {
     },
 }
 _PIXELS = 3 * 32 * 32
+# records per block of a subsampled split's label pass (787 KB of CIFAR-10 records)
+_BLOCK_RECORDS = 256
 
 
 class DatasetFileError(OSError):
@@ -125,15 +129,25 @@ class Dataset:
         return out
 
 
-def load_cifar(path, variant: str, split: str) -> Dataset:
+def load_cifar(path, variant: str, split: str,
+               keep: Callable[[np.ndarray, int], np.ndarray] | None = None) -> Dataset:
     """Parse a CIFAR binary directory into a Dataset of uint8 pixels.
 
     ``path`` is the directory holding the standard .bin files. Each record
     is label byte(s) followed by 3072 pixel bytes (1024 per RGB plane).
-    ``images`` is a view of the pixel bytes of one record buffer. File sizes
-    are checked exactly before any parsing, so a truncated archive never
-    yields a partial dataset, and a label byte outside its classes (10, or
-    CIFAR-100's 20 coarse and 100 fine) yields none.
+    File sizes are checked exactly before any parsing, so a truncated archive
+    never yields a partial dataset, and a label byte outside its classes (10,
+    or CIFAR-100's 20 coarse and 100 fine) yields none.
+
+    Without ``keep``, each file is read whole with one ``readinto`` and
+    ``images`` is a view of the pixel bytes of one record buffer. With
+    ``keep``, a callable ``keep(labels, num_classes)`` that returns row
+    indices, the split is read twice: pass 1 streams each file through one
+    small block buffer and keeps only its label bytes, then ``keep`` gets the
+    int64 label of every record, after every check above, and pass 2 reads
+    only the pixels of the rows it returns, in that order, into one
+    contiguous array. The result equals ``load_cifar(...)`` indexed by those
+    rows, bit for bit.
     """
     if variant not in _CIFAR:
         raise ValueError(f"unknown variant {variant!r}, expected 'cifar10' or 'cifar100'")
@@ -143,74 +157,131 @@ def load_cifar(path, variant: str, split: str) -> Dataset:
     label_bytes = len(spec["labels"])
     record_len = label_bytes + _PIXELS
     per_file = spec["records_per_file"][split]
+    num_classes = spec["labels"][-1][1]  # the last label byte (CIFAR-100's fine label) is the one a run uses
 
-    base = Path(path)
-    names = spec["files"][split]
+    files = [Path(path) / name for name in spec["files"][split]]
     expected = per_file * record_len
-    records = np.empty((len(names) * per_file, record_len), dtype=np.uint8)
-    for i, name in enumerate(names):
-        fp = base / name
-        if not fp.is_file():
-            raise DatasetFileError(f"{fp}: missing dataset file")
-        found = fp.stat().st_size
-        if found != expected:
-            raise DatasetFileError(
-                f"{fp}: corrupt or wrong-variant file, expected {expected} bytes, found {found}"
-            )
-        with fp.open("rb") as f:
-            read = f.readinto(records[i * per_file:(i + 1) * per_file])
-        if read != expected:
-            raise DatasetFileError(f"{fp}: expected {expected} bytes, read {read}")
+    if keep is None:
+        records = np.empty((len(files) * per_file, record_len), dtype=np.uint8)
+        for i, fp in enumerate(files):
+            with _checked_open(fp, expected) as f:
+                _check_read(fp, expected, f.readinto(records[i * per_file:(i + 1) * per_file]))
+        _check_labels(records[:, :label_bytes], spec["labels"], files, per_file)
+        labels = records[:, label_bytes - 1].astype(np.int64)
+        return Dataset(records[:, label_bytes:], labels, num_classes, split, channels=3)
 
-    for column, (what, classes) in enumerate(spec["labels"]):
-        bad = np.flatnonzero(records[:, column] >= classes)
+    label_records = np.empty((len(files) * per_file, label_bytes), dtype=np.uint8)
+    block = np.empty((min(_BLOCK_RECORDS, per_file), record_len), dtype=np.uint8)
+    for i, fp in enumerate(files):
+        with _checked_open(fp, expected) as f:
+            read = 0
+            for start in range(i * per_file, (i + 1) * per_file, block.shape[0]):
+                part = block[:(i + 1) * per_file - start]
+                got = f.readinto(part)
+                read += got
+                if got != part.nbytes:
+                    break
+                label_records[start:start + part.shape[0]] = part[:, :label_bytes]
+        _check_read(fp, expected, read)
+    _check_labels(label_records, spec["labels"], files, per_file)
+    labels = label_records[:, label_bytes - 1].astype(np.int64)
+    rows = np.asarray(keep(labels, num_classes))
+    if rows.dtype.kind not in "iu" or rows.ndim != 1 or (rows.size and (rows.min() < 0 or rows.max() >= labels.size)):
+        raise ValueError(f"kept rows must be a 1-D vector of indices in [0, {labels.size})")
+
+    # read the kept records in file order, each into its row of the result
+    images = np.empty((rows.size, _PIXELS), dtype=np.uint8)
+    order = np.argsort(rows, kind="stable")
+    bounds = np.searchsorted(rows[order], np.arange(len(files) + 1) * per_file)
+    for i, fp in enumerate(files):
+        if bounds[i] == bounds[i + 1]:
+            continue
+        with fp.open("rb", buffering=0) as f:
+            for k in order[bounds[i]:bounds[i + 1]].tolist():
+                record = int(rows[k]) - i * per_file
+                f.seek(record * record_len + label_bytes)
+                got = f.readinto(images[k])
+                if got != _PIXELS:
+                    raise DatasetFileError(f"{fp}: record {record}: expected {_PIXELS} pixel bytes, read {got}")
+    return Dataset(images, labels[rows], num_classes, split, channels=3)
+
+
+def _checked_open(fp: Path, expected: int):
+    """``fp`` opened for reading, once it is known to exist and hold exactly ``expected`` bytes."""
+    if not fp.is_file():
+        raise DatasetFileError(f"{fp}: missing dataset file")
+    found = fp.stat().st_size
+    if found != expected:
+        raise DatasetFileError(f"{fp}: corrupt or wrong-variant file, expected {expected} bytes, found {found}")
+    return fp.open("rb")
+
+
+def _check_read(fp: Path, expected: int, read: int) -> None:
+    if read != expected:
+        raise DatasetFileError(f"{fp}: expected {expected} bytes, read {read}")
+
+
+def _check_labels(label_records: np.ndarray, labels, files: list[Path], per_file: int) -> None:
+    """Every record's label bytes (one row per record, files in order) lie in their classes."""
+    for column, (what, classes) in enumerate(labels):
+        bad = np.flatnonzero(label_records[:, column] >= classes)
         if bad.size:
             i, record = divmod(int(bad[0]), per_file)
-            raise DatasetFileError(f"{base / names[i]}: record {record} has {what} {records[bad[0], column]}, "
+            raise DatasetFileError(f"{files[i]}: record {record} has {what} {label_records[bad[0], column]}, "
                                    f"expected one in [0, {classes})")
-    num_classes = spec["labels"][-1][1]  # the last label byte (CIFAR-100's fine label) is the one a run uses
-    labels = records[:, label_bytes - 1].astype(np.int64)
-    return Dataset(records[:, label_bytes:], labels, num_classes, split, channels=3)
 
 
-def _keep_per_class(ds: Dataset, n_keep: list[int], seed: int, why: str) -> Dataset:
-    """Keep n_keep[c] members of each class c, the first of one permutation of its members."""
+def _keep_per_class(labels: np.ndarray, n_keep: list[int], seed: int, why: str) -> np.ndarray:
+    """Rows that keep n_keep[c] members of each class c, the first of one permutation of its members."""
     rng = RngState(seed)
     keep: list[np.ndarray] = []
     for c, n in enumerate(n_keep):
         if n < 1:
             raise ValueError(f"class {c} would drop to 0 samples at {why}")
-        members = np.flatnonzero(ds.labels == c)
+        members = np.flatnonzero(labels == c)
         keep.append(members[rng.permutation(members.size)[:n]])
-    idx = np.concatenate(keep)
-    return replace(ds, images=ds.images[idx], labels=ds.labels[idx])
+    return np.concatenate(keep)
 
 
-def stratified_subsample(ds: Dataset, fraction: float, seed: int) -> Dataset:
-    """Keep round(fraction * n_c) samples per class, uniformly without replacement."""
+def stratified_rows(labels: np.ndarray, num_classes: int, fraction: float, seed: int) -> np.ndarray:
+    """Rows that keep round(fraction * n_c) samples per class, uniformly without replacement."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
-    n_keep = [round_half_up(fraction * int(n_c)) for n_c in ds.class_counts()]
-    return _keep_per_class(ds, n_keep, seed, f"fraction {fraction}")
+    n_keep = [round_half_up(fraction * int(n_c)) for n_c in np.bincount(labels, minlength=num_classes)]
+    return _keep_per_class(labels, n_keep, seed, f"fraction {fraction}")
 
 
-def longtail_subsample(ds: Dataset, ratio: float, seed: int) -> Dataset:
-    """Exponential imbalance: class c keeps round(n_head * ratio^(c / (C-1))).
+def longtail_rows(labels: np.ndarray, num_classes: int, ratio: float, seed: int) -> np.ndarray:
+    """Rows of an exponential imbalance: class c keeps round(n_head * ratio^(c / (C-1))).
 
-    ``n_head`` is the smallest class count of the input, so every class can
+    ``n_head`` is the smallest class count of ``labels``, so every class can
     supply its share; counts decay monotonically from n_head down to roughly
     ratio * n_head for the last class. Each class is drawn uniformly without
     replacement, by one permutation of its members.
     """
     if not 0.0 < ratio <= 1.0:
         raise ValueError("ratio must be in (0, 1]")
-    counts = ds.class_counts()
+    counts = np.bincount(labels, minlength=num_classes)
     n_head = int(counts.min())
     if n_head < 1:
         raise ValueError(f"class {int(counts.argmin())} has no samples")
-    last = max(ds.num_classes - 1, 1)
-    n_keep = [round_half_up(n_head * ratio ** (c / last)) for c in range(ds.num_classes)]
-    return _keep_per_class(ds, n_keep, seed, f"ratio {ratio}")
+    last = max(num_classes - 1, 1)
+    n_keep = [round_half_up(n_head * ratio ** (c / last)) for c in range(num_classes)]
+    return _keep_per_class(labels, n_keep, seed, f"ratio {ratio}")
+
+
+def _take(ds: Dataset, rows: np.ndarray) -> Dataset:
+    return replace(ds, images=ds.images[rows], labels=ds.labels[rows])
+
+
+def stratified_subsample(ds: Dataset, fraction: float, seed: int) -> Dataset:
+    """``ds`` at the rows ``stratified_rows`` keeps of its labels."""
+    return _take(ds, stratified_rows(ds.labels, ds.num_classes, fraction, seed))
+
+
+def longtail_subsample(ds: Dataset, ratio: float, seed: int) -> Dataset:
+    """``ds`` at the rows ``longtail_rows`` keeps of its labels."""
+    return _take(ds, longtail_rows(ds.labels, ds.num_classes, ratio, seed))
 
 
 def _blob_means(num_classes: int, dim: int) -> np.ndarray:

@@ -19,7 +19,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import Dataset, load_cifar, longtail_subsample, standardize, stratified_subsample, synth_blobs
+from .data import (Dataset, load_cifar, longtail_rows, longtail_subsample, standardize, stratified_rows,
+                   stratified_subsample, synth_blobs)
 from .losses import MixedScoreMatrix, ScoreBuffer, grad_w_cc, grad_w_ci, grad_w_mixup, loss_cc, loss_ci, loss_ic_joint, loss_mixup_ce, mixed_scores
 from .mixing import AXES, IC_METHODS, METHODS, REGMIXUP_METHODS, ClassHistogram, mix_batch, mix_weights, regmixup_compose
 from .model import ModelParams, backward, forward, init_model, save_checkpoint, sgd_step
@@ -281,20 +282,34 @@ def resolved_config_dict(config: TrainConfig) -> dict:
 def build_dataset_pair(spec: DatasetSpec) -> tuple[Dataset, Dataset]:
     """Load or generate (train, test), subsample the training split, standardize.
 
-    Fractional and long-tail subsampling touch only the training split; the
+    Fractional and long-tail subsampling touch only the training split: the
+    stratified rule runs first, then the long-tail rule on what it kept. A
+    subsampled CIFAR training split is chosen from its labels alone, and only
+    the kept records' pixels are read (see ``load_cifar``'s ``keep``). The
     standardization statistics come from the training split actually used.
     """
     spec = dataset_spec_from_dict(_section_values(spec))  # a hand-built spec meets the same rules
+    root = RngState(spec.seed)
+    fraction_seed = root.derive(_STREAM_FRACTION).seed
+    longtail_seed = root.derive(_STREAM_LONGTAIL).seed
     if spec.kind == "blobs":
         train, test = synth_blobs(spec.num_classes, spec.per_class, spec.dim, spec.spread, spec.seed)
+        if spec.fraction < 1.0:
+            train = stratified_subsample(train, spec.fraction, fraction_seed)
+        if spec.imbalance_ratio < 1.0:
+            train = longtail_subsample(train, spec.imbalance_ratio, longtail_seed)
     else:
-        train = load_cifar(spec.path, spec.kind, "train")
+        def kept_rows(labels: np.ndarray, num_classes: int) -> np.ndarray:
+            rows = np.arange(labels.size)
+            if spec.fraction < 1.0:
+                rows = stratified_rows(labels, num_classes, spec.fraction, fraction_seed)
+            if spec.imbalance_ratio < 1.0:
+                rows = rows[longtail_rows(labels[rows], num_classes, spec.imbalance_ratio, longtail_seed)]
+            return rows
+
+        subsampled = spec.fraction < 1.0 or spec.imbalance_ratio < 1.0
+        train = load_cifar(spec.path, spec.kind, "train", keep=kept_rows if subsampled else None)
         test = load_cifar(spec.path, spec.kind, "test")
-    root = RngState(spec.seed)
-    if spec.fraction < 1.0:
-        train = stratified_subsample(train, spec.fraction, root.derive(_STREAM_FRACTION).seed)
-    if spec.imbalance_ratio < 1.0:
-        train = longtail_subsample(train, spec.imbalance_ratio, root.derive(_STREAM_LONGTAIL).seed)
     train, test = standardize(train, test)
     return train, test
 

@@ -89,7 +89,11 @@ def mix_weights(labels, partners, lam_y, num_classes: int) -> np.ndarray:
     plus the partner term, since 1.0 * lam is lam and 0.0 * lam is +0.0 for
     every ratio in [0, 1].
     """
-    labels = _checked_labels(labels, num_classes)
+    return _mix_weights(_checked_labels(labels, num_classes), partners, lam_y, num_classes)
+
+
+def _mix_weights(labels: np.ndarray, partners, lam_y, num_classes: int) -> np.ndarray:
+    """``mix_weights`` of labels an entry point has already checked."""
     rows = np.arange(labels.shape[0])
     out = np.zeros((labels.shape[0], num_classes))
     out[rows, labels] = lam_y
@@ -153,7 +157,7 @@ def mix_batch(
     if config.method in REMIX_METHODS:
         counts = histogram.counts
         lam_y = remix_label_ratio(lambdas, counts[labels], counts[labels[perm]], config.tau, config.kappa)
-    weights = mix_weights(labels, perm, lam_y, histogram.num_classes)
+    weights = _mix_weights(labels, perm, lam_y, histogram.num_classes)
     return MixBatch(mixed_inputs, weights, lambdas, _pairs(np.arange(b), perm))
 
 
@@ -166,10 +170,10 @@ def _pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
 
 
 def _clean(inputs: np.ndarray, labels: np.ndarray, num_classes: int) -> MixBatch:
-    """The batch unmixed: each row its own partner, lambda 1, one-hot weights."""
+    """The batch unmixed: each row its own partner, lambda 1, one-hot weights; ``labels`` already checked."""
     rows = np.arange(inputs.shape[0])
     ones = np.ones(inputs.shape[0], dtype=np.float64)
-    return MixBatch(inputs, mix_weights(labels, rows, ones, num_classes), ones, _pairs(rows, rows))
+    return MixBatch(inputs, _mix_weights(labels, rows, ones, num_classes), ones, _pairs(rows, rows))
 
 
 def regmixup_compose(clean_inputs: np.ndarray, clean_labels, mixed: MixBatch) -> MixBatch:
@@ -187,5 +191,6 @@ def regmixup_compose(clean_inputs: np.ndarray, clean_labels, mixed: MixBatch) ->
         )
     if clean_labels.shape != (clean_inputs.shape[0],):
         raise ValueError("clean labels length must match the batch size")
-    clean = _clean(clean_inputs, clean_labels, mixed.mix_weights.shape[1])
+    num_classes = mixed.mix_weights.shape[1]
+    clean = _clean(clean_inputs, _checked_labels(clean_labels, num_classes), num_classes)
     return MixBatch(*(np.concatenate([getattr(clean, f.name), getattr(mixed, f.name)]) for f in fields(MixBatch)))

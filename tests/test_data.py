@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,105 @@ class TestLoadCifar:
         (wrong / "test_batch.bin").write_bytes((cifar100_dir / "test.bin").read_bytes())
         with pytest.raises(DatasetFileError, match="corrupt or wrong-variant"):
             load_cifar(wrong, "cifar10", "test")
+
+
+def _load_then_subsample(spec):
+    """The split pair as built by reading every record, then subsampling the Dataset."""
+    from icmix.harness import _STREAM_FRACTION, _STREAM_LONGTAIL
+
+    train = load_cifar(spec.path, spec.kind, "train")
+    root = RngState(spec.seed)
+    if spec.fraction < 1.0:
+        train = stratified_subsample(train, spec.fraction, root.derive(_STREAM_FRACTION).seed)
+    if spec.imbalance_ratio < 1.0:
+        train = longtail_subsample(train, spec.imbalance_ratio, root.derive(_STREAM_LONGTAIL).seed)
+    return standardize(train, load_cifar(spec.path, spec.kind, "test"))
+
+
+def _copy_tree(tmp_path, source, name):
+    """``source``'s CIFAR files under ``tmp_path``: ``name`` copied, the rest linked."""
+    for other in source.iterdir():
+        if other.name != name:
+            (tmp_path / other.name).symlink_to(other)
+    (tmp_path / name).write_bytes((source / name).read_bytes())
+    return tmp_path
+
+
+class TestKeptRecords:
+    """A subsampled training split reads only the records it keeps."""
+
+    @pytest.mark.parametrize("kind", ["cifar10", "cifar100"])
+    @pytest.mark.parametrize("fields", [
+        {"fraction": 0.1}, {"fraction": 0.5}, {"imbalance_ratio": 0.1}, {"fraction": 0.5, "imbalance_ratio": 0.1},
+    ], ids=["fraction_0.1", "fraction_0.5", "ratio_0.1", "fraction_0.5_ratio_0.1"])
+    def test_equals_load_then_subsample_bitwise(self, kind, fields, request):
+        path = request.getfixturevalue(f"{kind}_dir")
+        spec = dataset_spec_from_dict({"kind": kind, "path": str(path), "seed": 23, **fields})
+        for got, want in zip(build_dataset_pair(spec), _load_then_subsample(spec)):
+            assert got.images.dtype == want.images.dtype == np.uint8
+            assert got.images.shape == want.images.shape and np.array_equal(got.images, want.images)
+            assert got.labels.tolist() == want.labels.tolist()
+            assert (got.num_classes, got.split, got.channels) == (want.num_classes, want.split, want.channels)
+            assert got.mean.tobytes() == want.mean.tobytes() and got.std.tobytes() == want.std.tobytes()
+
+    def test_kept_pixels_are_one_contiguous_array(self, cifar10_dir):
+        train = load_cifar(cifar10_dir, "cifar10", "train", keep=lambda labels, c: np.array([49999, 3, 3, 10000]))
+        whole = load_cifar(cifar10_dir, "cifar10", "train")
+        assert train.images.flags.c_contiguous and train.images.base is None
+        assert np.array_equal(train.images, whole.images[[49999, 3, 3, 10000]])
+        assert np.array_equal(train.labels, whole.labels[[49999, 3, 3, 10000]])
+
+    def test_keep_sees_every_label(self, cifar100_dir):
+        seen = []
+        load_cifar(cifar100_dir, "cifar100", "test", keep=lambda labels, c: seen.append((labels, c)) or [0])
+        (labels, num_classes), = seen
+        assert num_classes == 100 and labels.dtype == np.int64
+        assert np.array_equal(labels, load_cifar(cifar100_dir, "cifar100", "test").labels)
+
+    @pytest.mark.parametrize("rows", [[-1], [10000], [[0, 1]], [0.0], [True]], ids=str)
+    def test_rows_outside_the_split_are_a_value_error(self, cifar10_dir, rows):
+        with pytest.raises(ValueError, match=re.escape("kept rows must be a 1-D vector of indices in [0, 10000)")):
+            load_cifar(cifar10_dir, "cifar10", "test", keep=lambda labels, c: np.array(rows))
+
+    def test_label_out_of_range_in_a_record_not_kept(self, tmp_path, cifar10_dir):
+        spec = {"kind": "cifar10", "fraction": 0.1, "seed": 31}
+        intact = build_dataset_pair(dataset_spec_from_dict({**spec, "path": str(cifar10_dir)}))[0]
+        whole = load_cifar(cifar10_dir, "cifar10", "train")
+        kept = {row.tobytes() for row in intact.images}
+        record = next(k for k in range(10000) if whole.images[20000 + k].tobytes() not in kept)
+        broken = _copy_tree(tmp_path, cifar10_dir, "data_batch_3.bin")
+        with open(broken / "data_batch_3.bin", "r+b") as f:
+            f.seek(record * 3073)
+            f.write(b"\x0a")
+        with pytest.raises(DatasetFileError,
+                           match=rf"data_batch_3.bin: record {record} has label 10, expected one in \[0, 10\)$"):
+            build_dataset_pair(dataset_spec_from_dict({**spec, "path": str(broken)}))
+
+    def test_short_read_of_a_kept_record_names_file_and_record(self, tmp_path, cifar10_dir):
+        # the file shrinks after the label pass has checked its size: the pixel pass finds it short
+        broken = _copy_tree(tmp_path, cifar10_dir, "data_batch_2.bin")
+
+        def truncate_then_keep(labels, num_classes):
+            with open(broken / "data_batch_2.bin", "r+b") as f:
+                f.truncate(10000 * 3073 - 100)
+            return np.array([0, 19999, 10000])
+
+        with pytest.raises(DatasetFileError,
+                           match=r"data_batch_2.bin: record 9999: expected 3072 pixel bytes, read 2972$"):
+            load_cifar(broken, "cifar10", "train", keep=truncate_then_keep)
+
+    def test_build_memory_is_bounded_by_the_kept_rows(self, cifar10_dir):
+        spec = dataset_spec_from_dict({"kind": "cifar10", "path": str(cifar10_dir), "fraction": 0.1, "seed": 5})
+        tracemalloc.start()
+        try:
+            train, test = build_dataset_pair(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the kept pixels, the test split's one record buffer, and 4 MiB for the 787 KB label-pass block,
+        # the labels and the 2 MB block of the byte statistics; reading every record first peaks near 200 MB
+        assert train.images.shape == (5000, 3072) and test.images.base.shape == (10000, 3073)
+        assert peak <= 5000 * 3072 + 10000 * 3073 + 4 * 2**20, peak
 
 
 class TestStratifiedSubsample:

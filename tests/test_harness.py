@@ -558,6 +558,18 @@ class TestTrain:
             # the parameters and one gradient vector, however many steps the run takes
             assert built == [(10, 32, 3)] * 2
 
+    @pytest.mark.parametrize("method", ["none", "mixup", "remix", "ic_mixup", "regmixup", "ic_regmixup"])
+    def test_labels_are_checked_once_per_entry_point(self, monkeypatch, method):
+        # mix_batch checks a step's labels, and regmixup_compose its clean labels; nothing checks them again
+        from icmix import mixing
+
+        calls = []
+        checked = mixing._checked_labels
+        monkeypatch.setattr(mixing, "_checked_labels", lambda *args: calls.append(1) or checked(*args))
+        train(_blob_config(method=method, epochs=2, batch_size=64))
+        steps = 2 * 5  # 300 rows in batches of 64
+        assert len(calls) == steps * (2 if method in mixing.REGMIXUP_METHODS else 1)
+
     def test_lr_schedule_recorded(self):
         cfg = train_config_from_dict({
             "seed": 8,

@@ -18,7 +18,7 @@ artifacts that differs, the largest absolute and relative difference per
 numeric column of the CSV, or per array of the checkpoint.
 Exits 1 on any difference or failed command. CI runs it with REV =
 HEAD on a clean checkout, which trains one commit in two fresh processes. The
-56 configs take about 2 minutes on a 2-vCPU machine.
+58 configs take about 2 minutes on a 2-vCPU machine.
 
 CIFAR-10-shaped input files come from ``perfbench/workloads.write_cifar10``.
 The digests hold on one machine only: OpenBLAS picks its kernels by CPU and
@@ -104,6 +104,15 @@ def configs(workloads, cifar_dir: Path) -> dict[str, dict]:
                                                             "fraction": 0.1, "imbalance_ratio": 0.1},
                                     "model": {"hidden_dims": [16]}, "train": {"epochs": 1, "batch_size": 32},
                                     "method": {"name": "ic_remix"}},
+        # every CIFAR-10-shaped record read whole, one readinto per file, into a linear model
+        "cifar_full_linear": {"seed": 31, "dataset": {"kind": "cifar10", "path": str(cifar_dir)},
+                              "model": {"hidden_dims": []}, "train": {"epochs": 1, "batch_size": 128},
+                              "method": {"name": "regmixup"}},
+        # the long-tail rule alone picks the records read, from the labels of all 50000
+        "cifar_remix_longtail_only": {"seed": 33, "dataset": {"kind": "cifar10", "path": str(cifar_dir),
+                                                              "imbalance_ratio": 0.1},
+                                      "model": {"hidden_dims": [16]}, "train": {"epochs": 1, "batch_size": 64},
+                                      "method": {"name": "remix"}},
     })
     # every method on each of its axes, at each depth, on long-tailed, subsampled blobs with weight decay
     longtail = {"num_classes": 4, "per_class": 40, "dim": 6, "fraction": 0.7, "imbalance_ratio": 0.3}
