@@ -71,6 +71,14 @@ def _checked_labels(labels, num_classes: int) -> np.ndarray:
     return labels
 
 
+def _checked_partners(partners, b: int) -> np.ndarray:
+    """``partners`` as an array, each a row of the batch: in [0, b), so none wraps around from the end."""
+    partners = np.asarray(partners)
+    if partners.size and (partners.min() < 0 or partners.max() >= b):
+        raise ValueError(f"partners must lie in [0, {b})")
+    return partners
+
+
 def one_hot(labels, num_classes: int) -> np.ndarray:
     """B x C one-hot matrix from integer labels."""
     labels = _checked_labels(labels, num_classes)
@@ -87,9 +95,11 @@ def mix_weights(labels, partners, lam_y, num_classes: int) -> np.ndarray:
     starts at zero, takes lam_y at its own class, then adds 1 - lam_y at its
     partner's class. These are the bits of ``one_hot(labels) * lam_y[:, None]``
     plus the partner term, since 1.0 * lam is lam and 0.0 * lam is +0.0 for
-    every ratio in [0, 1].
+    every ratio in [0, 1]. Labels and partners are checked: a partner outside
+    [0, B) is a ValueError.
     """
-    return _mix_weights(_checked_labels(labels, num_classes), partners, lam_y, num_classes)
+    labels = _checked_labels(labels, num_classes)
+    return _mix_weights(labels, _checked_partners(partners, labels.shape[0]), lam_y, num_classes)
 
 
 def _mix_weights(labels: np.ndarray, partners, lam_y, num_classes: int) -> np.ndarray:
@@ -134,8 +144,9 @@ def mix_batch(
     :func:`icmix.numerics.plan_epoch` draws them; label weights use the same
     ratio for mixup-style methods and the remix rule for remix-style methods.
     Method "none" passes inputs through unchanged with one-hot weights and
-    needs no draws. For regmixup methods this builds only the mixed half;
-    compose with the clean batch via :func:`regmixup_compose`. Of ``config``
+    needs no draws. A partner outside [0, B) is a ValueError. For regmixup
+    methods this builds only the mixed half; compose with the clean batch
+    via :func:`regmixup_compose`. Of ``config``
     (a :class:`icmix.harness.MixConfig`) only ``method``, ``tau`` and ``kappa`` are read.
     """
     inputs = matrix(inputs, name="inputs")
@@ -150,6 +161,7 @@ def mix_batch(
     perm, lambdas = draws
     if perm.shape != (b,) or lambdas.shape != (b,):
         raise ValueError("draws must hold one partner and one ratio per row")
+    _checked_partners(perm, b)
 
     lam_col = lambdas[:, None]
     mixed_inputs = lam_col * inputs + (1.0 - lam_col) * inputs[perm]

@@ -6,9 +6,10 @@ coming in from files or initializers. The random generator is a hand-rolled
 xoshiro256++ so that draw sequences are reproducible bit for bit across
 platforms and processes, independent of any library version. Its bulk
 samplers step many jump-ahead lanes of the one stream at once with numpy,
-and draw exactly what the scalar samplers would. :func:`plan_epoch` draws a
-training epoch's shuffle, partner permutations and Beta(a, a) ratios ahead,
-exactly as the scalar loop would.
+and draw exactly what the scalar samplers would. Bulk draws are generated a
+block ahead, and every draw, scalar or bulk, reads that block first.
+:func:`plan_epoch` draws a training epoch's shuffle, partner permutations
+and Beta(a, a) ratios ahead, exactly as the scalar loop would.
 """
 
 from __future__ import annotations
@@ -33,9 +34,13 @@ _NIBBLE_SHIFTS = np.arange(0, 64, 4, dtype=np.uint64)
 _BULK_MIN = 512
 # bulk normals draw at most this many candidate pairs at once, and bulk
 # permutations and plans at most twice as many raw draws, which keeps their
-# temporary arrays small
+# temporary arrays small. All of them read raw draws from a read-ahead block
+# of _BLOCK draws (see RngState._raw), so one lane set-up serves about three
+# rounds or chunks; a block of 2**16 draws was faster, but its temporaries
+# broke the plan's memory bound of a few chunks
 _PAIRS_PER_ROUND = 4096
 _CHUNK = 2 * _PAIRS_PER_ROUND
+_BLOCK = 1 << 15
 
 
 def matrix(data, name: str = "matrix") -> np.ndarray:
@@ -91,11 +96,25 @@ def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
+def _step(s: list[int]) -> int:
+    """One xoshiro256++ step of the four state words ``s``, in place; returns its output."""
+    s0, s1, s2, s3 = s
+    result = (_rotl((s0 + s3) & _MASK64, 23) + s0) & _MASK64
+    t = (s1 << 17) & _MASK64
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    s[:] = s0, s1, s2, _rotl(s3, 45)
+    return result
+
+
 def _step_lanes(s: np.ndarray, out: np.ndarray, t: np.ndarray) -> None:
     """One xoshiro256++ step of every column of ``s`` (4 x L uint64), in place.
 
     Writes each column's output to ``out``; ``t`` is scratch of length L.
-    The same shifts, xors and wrapping adds as :meth:`RngState.next_uint64`.
+    The same shifts, xors and wrapping adds as :func:`_step`.
     """
     s0, s1, s2, s3 = s
     np.add(s0, s3, out=t)
@@ -154,6 +173,40 @@ def _jump(log2_distance: int) -> np.ndarray:
     return m
 
 
+def _lanes(words: list[int], n: int):
+    """The ``n`` draws that follow state ``words``, by jump-ahead lanes.
+
+    The stream is cut into lanes of ``steps`` = 2**k consecutive draws. Each
+    lane starts from a jump ahead by a power of the (GF(2)-linear) state
+    transition, and numpy steps all lanes in lockstep. Lane l is row l of
+    the draws, so the rows read in stream order; a few steps at a time go
+    through a small buffer, since writing one step across all rows is slow.
+    Returns the draws, the lane starts (lanes x 4 uint64), ``steps`` and the
+    state after draw ``n``.
+    """
+    log2_steps = max(0, int(n).bit_length() // 2 - 2)  # about 4 sqrt(n) lanes: measured fastest
+    steps = 1 << log2_steps
+    lanes = -(-n // steps)
+    starts = np.array([words], dtype=np.uint64)
+    log2_gap = log2_steps
+    while len(starts) < lanes:  # doubling: the new lanes start 2**log2_gap draws after the old ones
+        starts = np.concatenate([starts, _apply(_jump(log2_gap), starts)])
+        log2_gap += 1
+    starts = starts[:lanes]
+    s = np.ascontiguousarray(starts.T)
+    out = np.empty((lanes, steps), dtype=np.uint64)
+    buf = np.empty((min(steps, 32), lanes), dtype=np.uint64)
+    t = np.empty(lanes, dtype=np.uint64)
+    last = n - (lanes - 1) * steps  # draws taken from the last lane
+    for k in range(steps):
+        _step_lanes(s, buf[k % len(buf)], t)
+        if k + 1 == last:
+            end = s[:, -1].tolist()
+        if (k + 1) % len(buf) == 0:
+            out[:, k + 1 - len(buf):k + 1] = buf.T
+    return out.reshape(-1)[:n], starts, steps, end
+
+
 class RngState:
     """Seeded xoshiro256++ generator with distribution helpers.
 
@@ -171,6 +224,8 @@ class RngState:
     ``uniforms``, ``normals`` and ``permutation`` draw in bulk: the same
     values, in the same order, as that many calls of ``random``, ``normal``
     and ``randbelow``, computed with numpy array ops (see :meth:`_raw`).
+    Bulk draws are generated ahead in blocks, which every draw reads first;
+    ``_s`` is still the exact state after the last draw read.
     """
 
     def __init__(self, seed: int):
@@ -190,65 +245,73 @@ class RngState:
         child = _mix64(self.seed ^ _mix64(((int(stream) + 1) * _GOLDEN) & _MASK64))
         return RngState(child)
 
+    @property
+    def _s(self) -> list[int]:
+        """The four state words after the last draw read.
+
+        Inside the block this is the start of the lane that holds the
+        position, stepped to it: fewer steps than a lane has.
+        """
+        p = self._pos
+        if p == self._end:
+            return list(self._words)
+        lane, k = divmod(p, self._steps)
+        s = self._starts[lane].tolist()
+        for _ in range(k):
+            _step(s)
+        return s
+
+    @_s.setter
+    def _s(self, words) -> None:
+        self._words = list(words)  # the state after the block's last draw, or the state with no block
+        self._block, self._starts = np.empty(0, dtype=np.uint64), None
+        self._ahead = ()  # the block as a memoryview, for next_uint64
+        self._pos = self._end = 0  # draws read from the block, and its size
+        self._steps = 1  # draws per lane of the block
+
     def next_uint64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s0 + s3) & _MASK64, 23) + s0) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return result
+        p = self._pos
+        if p < self._end:
+            self._pos = p + 1
+            return self._ahead[p]
+        if self._end:  # the block is used up: the state goes on from its end
+            self._s = self._words
+        return _step(self._words)
 
     def _raw(self, n: int) -> np.ndarray:
-        """The next ``n`` outputs of :meth:`next_uint64` as a uint64 array.
+        """The next ``n`` outputs of :meth:`next_uint64` as a new uint64 array.
 
-        The state advances by exactly ``n``. In bulk, the stream is cut into
-        lanes of 2**k consecutive draws. Each lane starts from a jump ahead
-        by a power of the (GF(2)-linear) state transition, and numpy steps
-        all lanes in lockstep. Lane l is row l of the result, so the rows
-        read in stream order; a few steps at a time go through a small
-        buffer, since writing one step across all rows is slow.
+        The state advances by exactly ``n``. The draws are read from the
+        block. A request the block cannot serve whole refills it from the
+        current position: ``_BLOCK`` draws by :func:`_lanes`, or below
+        ``_BULK_MIN`` draws (where the scalar loop is faster) just the
+        request, by scalar steps. So the draws of the last request all lie in
+        the block, and :meth:`_unread` can give them back. A request of at
+        least ``_BLOCK`` draws is generated directly and leaves no block.
         """
-        if n < _BULK_MIN:
-            return np.fromiter((self.next_uint64() for _ in range(n)), dtype=np.uint64, count=n)
-        log2_steps = max(0, int(n).bit_length() // 2 - 2)  # about 4 sqrt(n) lanes: measured fastest
-        steps = 1 << log2_steps
-        lanes = -(-n // steps)
-        starts = np.array([self._s], dtype=np.uint64)
-        log2_gap = log2_steps
-        while len(starts) < lanes:  # doubling: the new lanes start 2**log2_gap draws after the old ones
-            starts = np.concatenate([starts, _apply(_jump(log2_gap), starts)])
-            log2_gap += 1
-        s = np.ascontiguousarray(starts[:lanes].T)
-        out = np.empty((lanes, steps), dtype=np.uint64)
-        buf = np.empty((min(steps, 32), lanes), dtype=np.uint64)
-        t = np.empty(lanes, dtype=np.uint64)
-        last = n - (lanes - 1) * steps  # draws taken from the last lane
-        for k in range(steps):
-            _step_lanes(s, buf[k % len(buf)], t)
-            if k + 1 == last:
-                self._s = s[:, -1].tolist()
-            if (k + 1) % len(buf) == 0:
-                out[:, k + 1 - len(buf):k + 1] = buf.T
-        return out.reshape(-1)[:n]
+        p = self._pos
+        if p + n > self._end:
+            words = self._s
+            if n >= _BLOCK:
+                out, _, _, self._s = _lanes(words, n)
+                return out
+            self._s = words  # drop the old block before the new one is drawn
+            if n < _BULK_MIN:
+                start = list(words)
+                block = np.fromiter((_step(words) for _ in range(n)), dtype=np.uint64, count=n)
+                starts, steps = np.array([start], dtype=np.uint64), n
+            else:
+                block, starts, steps, words = _lanes(words, _BLOCK)
+            self._words, self._block, self._starts, self._steps = words, block, starts, steps
+            self._ahead, self._end, p = memoryview(block), block.size, 0
+        self._pos = p + n
+        return self._block[p:p + n].copy()
 
-    def _skip(self, count: int) -> None:
-        """Advance the state by ``count`` draws without returning them.
-
-        The low six bits of ``count`` are single steps; each higher set bit
-        is one jump by a power of two of the state transition.
-        """
-        for _ in range(count & 63):
-            self.next_uint64()
-        s = np.array([self._s], dtype=np.uint64)
-        for k in range(6, count.bit_length()):
-            if count >> k & 1:
-                s = _apply(_jump(k), s)
-        self._s = s[0].tolist()
+    def _unread(self, count: int) -> None:
+        """Give back the last ``count`` draws read, which must lie in the block: the next reads repeat them."""
+        if not 0 <= count <= self._pos:
+            raise ValueError(f"cannot give back {count} draws: {self._pos} were read from the block")
+        self._pos -= count
 
     def random(self) -> float:
         """Uniform in [0, 1) with 53 random bits."""
@@ -431,19 +494,17 @@ class _Window:
     """The part of the raw stream the walk reads.
 
     ``raw`` holds the draws and ``uni`` each one as :meth:`RngState.random`
-    would return it.
+    would return it. The walk reads the draws a window keeps from the one
+    before it ahead of any new one, so those it leaves unread all come from
+    the last chunk, which the generator can take back.
     """
 
     def __init__(self, rng: RngState):
         self.rng = rng
         self.raw = np.empty(0, dtype=np.uint64)
-        self.state = None  # the generator's state before the last chunk was drawn
-        self.carried = 0  # draws this window kept from the one before it
 
     def advance(self, p: int):
         """Drop the draws before ``p`` and append one ``_CHUNK``; the walk goes on at 0."""
-        self.state = list(self.rng._s)
-        self.carried = self.raw.size - p
         r = np.concatenate([self.raw[p:], self.rng._raw(_CHUNK)])
         self.raw = r
         uni = (r >> _U64(11)).astype(np.float64)
@@ -451,10 +512,8 @@ class _Window:
         return memoryview(r), memoryview(uni), r.size, 0
 
     def give_back(self, p: int) -> None:
-        """Set the generator to just after the draw before ``p``."""
-        if self.state is not None:
-            self.rng._s = self.state
-            self.rng._skip(p - self.carried)
+        """Un-read the draws from ``p`` on: the generator is left just after the draw before ``p``."""
+        self.rng._unread(self.raw.size - p)
 
 
 def _walk(rng: RngState, sizes: list[int], a: float, partners: np.ndarray, lambdas: memoryview) -> None:

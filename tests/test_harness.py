@@ -570,6 +570,17 @@ class TestTrain:
         steps = 2 * 5  # 300 rows in batches of 64
         assert len(calls) == steps * (2 if method in mixing.REGMIXUP_METHODS else 1)
 
+    @pytest.mark.parametrize("method", ["none", "mixup", "remix", "regmixup"])
+    def test_partners_are_checked_once_per_mixed_step(self, monkeypatch, method):
+        # mix_batch checks a step's partners: one min and one max over B ints
+        from icmix import mixing
+
+        calls = []
+        checked = mixing._checked_partners
+        monkeypatch.setattr(mixing, "_checked_partners", lambda *args: calls.append(1) or checked(*args))
+        train(_blob_config(method=method, epochs=2, batch_size=64))
+        assert len(calls) == (0 if method == "none" else 2 * 5)
+
     def test_lr_schedule_recorded(self):
         cfg = train_config_from_dict({
             "seed": 8,

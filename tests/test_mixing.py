@@ -169,6 +169,20 @@ def test_draws_must_match_the_batch():
             mix_batch(inputs, labels, MixConfig(method="mixup"), hist, draws)
 
 
+@pytest.mark.parametrize("method", ["mixup", "remix"])
+@pytest.mark.parametrize("bad", [-1, 4], ids=["minus_one", "batch_size"])
+def test_partner_outside_the_batch_is_a_value_error(method, bad):
+    # -1 used to wrap to the last row and be recorded in pair_indices; 4
+    # raised numpy's IndexError
+    inputs, labels = np.arange(8.0).reshape(4, 2), np.array([0, 1, 2, 0])
+    hist = ClassHistogram.from_labels(labels, 3)
+    partners = np.array([bad, 0, 1, 2])
+    with pytest.raises(ValueError, match=r"partners must lie in \[0, 4\)"):
+        mix_batch(inputs, labels, MixConfig(method=method), hist, _draws(partners, [0.5] * 4))
+    with pytest.raises(ValueError, match=r"partners must lie in \[0, 4\)"):
+        mix_weights(labels, partners, np.full(4, 0.5), 3)
+
+
 class TestRemixRule:
     def test_majority_first_goes_to_zero(self):
         assert remix_label_ratio(0.4, 500, 100, 0.5, 3.0) == 0.0

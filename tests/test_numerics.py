@@ -351,8 +351,8 @@ class _Fed(RngState):
     def _raw(self, n):
         return np.array([self.next_uint64() for _ in range(n)], dtype=np.uint64)
 
-    def _skip(self, count):
-        self._s = [self._s[0] + count]
+    def _unread(self, count):
+        self._s = [self._s[0] - count]
 
 
 def _scalar_fed(stream):
@@ -509,6 +509,127 @@ class TestEpochPlan:
         assert outputs == 3 * 8 * n
         margin = 16 * 8 * numerics._CHUNK  # 16 float64 arrays of one chunk: 1 MiB
         assert peak - outputs < margin, (peak, outputs)
+
+
+BLOCK = numerics._BLOCK
+
+
+def _scalar_plan_draws(rng, n, bounds, alpha):
+    """The raw draws the scalar loop takes for a plan from ``rng``'s state; ``rng`` is left as it is."""
+    probe = scalar_rng(0)
+    probe._s, probe._spare_normal = rng._s, rng._spare_normal
+    count = 0
+    step = probe.next_uint64
+
+    def counted():
+        nonlocal count
+        count += 1
+        return step()
+
+    probe.next_uint64 = counted
+    scalar_epoch(probe, n, bounds, alpha)
+    return count
+
+
+class TestReadAhead:
+    """Draws read from the read-ahead block against the scalar loop, generator state included."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_script_across_block_sizes(self, seed):
+        # bulk requests one under, at, one over and two blocks and one over
+        # (the last three skip the block), between scalar draws, normals that
+        # start with or leave a pending spare, and plans
+        script = [
+            ("_raw", BLOCK - 1), ("random",), ("uniforms", BLOCK), ("normal",), ("normals", 5000),
+            ("_raw", BLOCK + 1), ("randbelow", 10), ("plan", 300, 32, 0.2), ("uniforms", 600),
+            ("normals", 3), ("_raw", 2 * BLOCK + 1), ("sample_beta", 0.2), ("plan", 100, 8, 1e-3),
+            ("permutation", 1000), ("normal",), ("plan", 50, 25, 5.0), ("next_uint64",), ("_raw", 700),
+        ]
+        bulk, ref = RngState(seed), scalar_rng(seed)
+        for step, (name, *args) in enumerate(script):
+            if name == "plan":
+                n, b, alpha = args
+                _assert_plan_is_scalar_loop(plan_epoch(bulk, n, _bounds(n, b), alpha),
+                                            scalar_epoch(ref, n, _bounds(n, b), alpha))
+            elif name == "_raw":
+                assert bulk._raw(*args).tolist() == [ref.next_uint64() for _ in range(*args)], step
+            elif name in ("next_uint64", "randbelow", "permutation"):
+                a, b = getattr(bulk, name)(*args), getattr(ref, name)(*args)
+                assert np.asarray(a).tolist() == np.asarray(b).tolist(), step
+            else:
+                assert np.array_equal(_bits(getattr(bulk, name)(*args)), _bits(getattr(ref, name)(*args))), step
+            assert bulk._s == ref._s and bulk._spare_normal == ref._spare_normal, step
+
+    @pytest.mark.parametrize("edge", ["new_block_first_draw", "one_before_block_end", "at_block_end"])
+    def test_plan_giving_back_at_a_block_edge(self, monkeypatch, edge):
+        # the plan starts at draw 2 * BLOCK, after a direct request (no
+        # block) and a request that fills a block. With a chunk of used - 1
+        # draws, the walk reads one draw of its second chunk, which starts a
+        # new block: it gives back all of that block but its first draw.
+        # With used + 1, it leaves the block's last draw; with used, it ends
+        # on the block's end
+        bounds, alpha, start = _bounds(200, 25), 0.2, 2 * BLOCK
+        at_start = RngState(31)
+        at_start._raw(start)
+        used = _scalar_plan_draws(at_start, 0, bounds, alpha)
+        # the chunk, the draws its first request leaves in the block, and the block position after the plan
+        chunk, left, end_pos = {"new_block_first_draw": (used - 1, 1, 1),
+                                "one_before_block_end": (used + 1, 0, BLOCK - 1),
+                                "at_block_end": (used, 0, BLOCK)}[edge]
+        bulk, ref = RngState(31), scalar_rng(31)
+        for k in (start - (BLOCK - chunk - left), BLOCK - chunk - left):
+            assert bulk._raw(k).tolist() == [ref.next_uint64() for _ in range(k)]
+        assert (bulk._pos, bulk._end) == (BLOCK - chunk - left, BLOCK)
+        monkeypatch.setattr(numerics, "_CHUNK", chunk)
+        _assert_plan_is_scalar_loop(plan_epoch(bulk, 0, bounds, alpha), scalar_epoch(ref, 0, bounds, alpha))
+        assert (bulk._pos, bulk._end) == (end_pos, BLOCK)
+        assert bulk._s == ref._s and bulk._spare_normal == ref._spare_normal
+        # the generator goes on as the scalar one does, across the block's end
+        assert bulk._raw(5).tolist() == [ref.next_uint64() for _ in range(5)]
+        assert np.array_equal(_bits(bulk.normals(3)), _bits(ref.normals(3)))
+        assert bulk._s == ref._s
+
+    def test_five_longtail_plans_generate_few_blocks(self, monkeypatch):
+        # a block serves draws until a request of at most a chunk does not
+        # fit, so each block but the last serves more than BLOCK - _CHUNK of
+        # them; drawing each shuffle and chunk by itself took 15 generations
+        n, bounds, alpha = 1636, _bounds(1636, 32), 0.2
+        bulk, ref = RngState(40), scalar_rng(40)
+        draws = 0
+        for _ in range(5):
+            draws += _scalar_plan_draws(ref, n, bounds, alpha)
+            scalar_epoch(ref, n, bounds, alpha)
+        generated = []
+        lanes = numerics._lanes
+        monkeypatch.setattr(numerics, "_lanes", lambda words, k: generated.append(k) or lanes(words, k))
+        for _ in range(5):
+            plan_epoch(bulk, n, bounds, alpha)
+        assert bulk._s == ref._s and bulk._spare_normal == ref._spare_normal
+        assert generated == [BLOCK] * len(generated)
+        assert len(generated) <= math.ceil(draws / (BLOCK - numerics._CHUNK)) + 1, (generated, draws)
+
+    def test_a_request_of_a_block_or_more_keeps_no_block(self):
+        # CIFAR init's uniforms are drawn directly; the block held before is dropped
+        n = 3072 * 512
+        bulk, pieces = RngState(3), RngState(3)
+        bulk._raw(1000)
+        u = bulk.uniforms(n)
+        assert bulk._block.size <= BLOCK and bulk._starts is None
+        pieces._raw(1000)
+        raw = np.concatenate([pieces._raw(numerics._CHUNK) for _ in range(n // numerics._CHUNK)])
+        assert np.array_equal(_bits(u), _bits((raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53))
+        assert bulk._s == pieces._s and bulk.next_uint64() == pieces.next_uint64()
+
+    def test_only_draws_the_block_served_can_be_given_back(self):
+        rng = RngState(4)
+        first = rng._raw(100)  # below _BULK_MIN the block is the request
+        rng._unread(100)
+        assert rng._s == RngState(4)._s and rng._raw(100).tolist() == first.tolist()
+        with pytest.raises(ValueError, match="cannot give back 101 draws"):
+            rng._unread(101)
+        rng.next_uint64()  # read past the block's end: the block is gone
+        with pytest.raises(ValueError, match="cannot give back 1 draws"):
+            rng._unread(1)
 
 
 @pytest.fixture(scope="module")
