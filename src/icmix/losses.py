@@ -46,25 +46,24 @@ from .numerics import softmax_log_z
 
 
 class ScoreBuffer:
-    """Memory for the B x U arrays of each batch's contrastive loss, kept for a whole run.
+    """Memory for the B x U score array of each batch's contrastive loss, kept for a whole run.
 
-    Allocated fresh for every batch, these arrays change size with U; freed
-    into the heap, they left 0-13 MB resident between batches, depending on
-    the sequence of U, so a run's peak memory depended on its seed. One
-    buffer of 2 B^2 entries, taken on first use and touched only as far as
-    the largest U reaches, holds them for every batch instead.
+    Allocated fresh for every batch, the array changes size with U; freed
+    into the heap, such arrays left 0-13 MB resident between batches,
+    depending on the sequence of U, so a run's peak memory depended on its
+    seed. One buffer of B^2 entries, taken on first use and touched only as
+    far as the largest U reaches, holds it for every batch instead.
     """
 
     def __init__(self) -> None:
         self._flat = np.empty(0)
 
-    def take(self, b: int, u: int) -> tuple[np.ndarray, np.ndarray]:
-        """Two B x U arrays over the buffer; the next call reuses their memory."""
-        if self._flat.size < 2 * b * u:
+    def take(self, b: int, u: int) -> np.ndarray:
+        """A B x U array over the buffer; the next call reuses its memory."""
+        if self._flat.size < b * u:
             self._flat = np.empty(0)  # free the old buffer before allocating its successor
-            self._flat = np.empty(2 * b * b)
-        n = b * u
-        return self._flat[:n].reshape(b, u), self._flat[n:2 * n].reshape(b, u)
+            self._flat = np.empty(b * b)
+        return self._flat[:b * u].reshape(b, u)
 
 
 @dataclass
@@ -76,7 +75,8 @@ class MixedScoreMatrix:
     order of first occurrence, ``counts`` how many rows hold each,
     ``column`` each row's own classifier, and ``s_tilde`` the B x U product
     s @ classifiers.T. The B x B dense score matrix is ``s_tilde[:, column]``.
-    ``work`` is a B x U array that each loss call overwrites.
+    Each loss call works in ``s_tilde`` itself and fills it with the same
+    scores again before it returns.
     """
 
     s: np.ndarray
@@ -84,7 +84,6 @@ class MixedScoreMatrix:
     classifiers: np.ndarray
     counts: np.ndarray
     column: np.ndarray
-    work: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def from_logits(cls, s: np.ndarray, mix_weights: np.ndarray,
@@ -93,8 +92,8 @@ class MixedScoreMatrix:
 
         A row whose only nonzero entry is exactly 1.0 is e_c and is keyed by
         c; every other row is its own classifier, so unequal rows never merge.
-        With ``buffer``, ``s_tilde`` and ``work`` live in its memory and hold
-        only until its next use.
+        With ``buffer``, ``s_tilde`` lives in its memory and holds only until
+        its next use.
         """
         s = np.asarray(s, dtype=np.float64)
         mix_weights = np.asarray(mix_weights, dtype=np.float64)
@@ -113,9 +112,9 @@ class MixedScoreMatrix:
         column = (np.cumsum(leads) - 1)[owner]
         classifiers = mix_weights[leads]
         u = len(classifiers)
-        s_tilde, work = (np.empty((b, u)), np.empty((b, u))) if buffer is None else buffer.take(b, u)
+        s_tilde = np.empty((b, u)) if buffer is None else buffer.take(b, u)
         np.matmul(s, classifiers.T, out=s_tilde)
-        return cls(s, s_tilde, classifiers, np.bincount(column, minlength=u), column, work)
+        return cls(s, s_tilde, classifiers, np.bincount(column, minlength=u), column)
 
     @property
     def mix_weights(self) -> np.ndarray:
@@ -150,20 +149,25 @@ def _diagonal_ce(ms: MixedScoreMatrix, axis: int) -> LossResult:
     cc (axis 1) is a row softmax of s_tilde + log n, which counts classifier
     u n_u times; ci (axis 0) is one column softmax per distinct classifier,
     whose column u then stands for n_u equal columns. Sums run along
-    ``axis`` of s_tilde itself: a contiguous transpose would sum in another order.
+    ``axis`` of s_tilde itself: a contiguous transpose would sum in another
+    order. The softmax overwrites s_tilde, so the scores are computed into
+    it again at the end, by the call ``from_logits`` made: the same bits.
     """
     rows = np.arange(len(ms.column))
-    diag = ms.s_tilde[rows, ms.column]
+    z = ms.s_tilde
+    diag = z[rows, ms.column]  # a copy, taken before the softmax overwrites z
     if axis == 1:
-        z = np.add(ms.s_tilde, np.log(ms.counts), out=ms.work)
+        z += np.log(ms.counts)
         z, log_z = softmax_log_z(z, 1, out=z)
     else:
-        z, log_z = softmax_log_z(ms.s_tilde, 0, out=ms.work)
+        z, log_z = softmax_log_z(z, 0, out=z)
         z *= ms.counts
         log_z = log_z[ms.column]
     z[rows, ms.column] -= 1.0  # softmax minus each row's own classifier
     z /= len(rows)
-    return LossResult(float(np.mean(log_z - diag)), z @ ms.classifiers)
+    result = LossResult(float(np.mean(log_z - diag)), z @ ms.classifiers)
+    np.matmul(ms.s, ms.classifiers.T, out=ms.s_tilde)
+    return result
 
 
 def loss_cc(ms: MixedScoreMatrix) -> LossResult:

@@ -238,6 +238,7 @@ class RngState:
         if not any(state):
             state[0] = 1  # all-zero state is the one forbidden xoshiro state
         self._s = state
+        self._first = True  # _raw has generated nothing yet
         self._spare_normal: float | None = None
 
     def derive(self, stream: int) -> "RngState":
@@ -288,10 +289,13 @@ class RngState:
         request, by scalar steps. So the draws of the last request all lie in
         the block, and :meth:`_unread` can give them back. A request of at
         least ``_BLOCK`` draws is generated directly and leaves no block.
+        The stream's first generation is sized to its request: a stream that
+        draws once (an ``init_model`` stream) pays no block it never reads.
         """
         p = self._pos
         if p + n > self._end:
-            words = self._s
+            words, first = self._s, self._first
+            self._first = False
             if n >= _BLOCK:
                 out, _, _, self._s = _lanes(words, n)
                 return out
@@ -301,7 +305,7 @@ class RngState:
                 block = np.fromiter((_step(words) for _ in range(n)), dtype=np.uint64, count=n)
                 starts, steps = np.array([start], dtype=np.uint64), n
             else:
-                block, starts, steps, words = _lanes(words, _BLOCK)
+                block, starts, steps, words = _lanes(words, n if first else _BLOCK)
             self._words, self._block, self._starts, self._steps = words, block, starts, steps
             self._ahead, self._end, p = memoryview(block), block.size, 0
         self._pos = p + n

@@ -338,6 +338,10 @@ def _wide_batch():
     return rng.normals(2 * b * c).reshape(2 * b, c), y
 
 
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
 class TestScoreBuffer:
     def test_buffered_batches_give_the_unbuffered_bits(self):
         # 64, 256, 64 and 64 rows: the buffer grows once, then later batches reuse it
@@ -347,7 +351,7 @@ class TestScoreBuffer:
             s = r @ w
             ms, plain = MixedScoreMatrix.from_logits(s, y, buffer), MixedScoreMatrix.from_logits(s, y)
             assert np.array_equal(ms.s_tilde, plain.s_tilde)
-            assert not np.shares_memory(ms.s_tilde, ms.work)
+            assert ms.s_tilde.base is buffer._flat and not np.shares_memory(plain.s_tilde, buffer._flat)
             for axes in AXES:
                 got, want = loss_ic_joint(ms, axes), loss_ic_joint(plain, axes)
                 assert got.value == want.value
@@ -358,8 +362,20 @@ class TestScoreBuffer:
         first = MixedScoreMatrix.from_logits(*_wide_batch(), buffer)
         r, w, y = DUPLICATE_CASES["regmixup"]
         later = MixedScoreMatrix.from_logits(r @ w, y, buffer)
-        for array in (first.work, later.s_tilde, later.work):
-            assert array.base is first.s_tilde.base
+        assert later.s_tilde.base is first.s_tilde.base
+
+    def test_buffer_holds_one_square_score_array(self):
+        s, y = _wide_batch()
+        b = len(s)
+        buffer = ScoreBuffer()
+        tracemalloc.start()
+        try:
+            loss_ic_joint(MixedScoreMatrix.from_logits(s, y, buffer), "both")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert buffer._flat.size == b * b
+        assert peak < 1.1 * b * b * 8
 
     def test_warm_buffer_allocates_no_score_array(self):
         s, y = _wide_batch()
@@ -373,6 +389,27 @@ class TestScoreBuffer:
         finally:
             tracemalloc.stop()
         assert peak < ms.s_tilde.nbytes / 8
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("name", [*DUPLICATE_CASES, "wide"])
+def test_loss_calls_leave_the_scores_as_from_logits_made_them(name, buffered):
+    # each axis runs its softmax in s_tilde itself, then computes the scores into it again
+    if name == "wide":
+        s, y = _wide_batch()
+    else:
+        r, w, y = DUPLICATE_CASES[name]
+        s = r @ w
+    scores = _bits(MixedScoreMatrix.from_logits(s, y).s_tilde)
+    ms = MixedScoreMatrix.from_logits(s, y, ScoreBuffer() if buffered else None)
+    calls = [loss_cc, loss_ci] + [lambda m, axes=axes: loss_ic_joint(m, axes) for axes in AXES]
+    for call in calls:
+        first = call(ms)
+        assert np.array_equal(_bits(ms.s_tilde), scores)
+        again = call(ms)
+        assert _bits(again.value) == _bits(first.value)
+        assert np.array_equal(_bits(again.grad_s), _bits(first.grad_s))
+        assert np.array_equal(_bits(ms.s_tilde), scores)
 
 
 class TestLossMixupCe:

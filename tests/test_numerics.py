@@ -590,9 +590,11 @@ class TestReadAhead:
         assert bulk._s == ref._s
 
     def test_five_longtail_plans_generate_few_blocks(self, monkeypatch):
-        # a block serves draws until a request of at most a chunk does not
-        # fit, so each block but the last serves more than BLOCK - _CHUNK of
-        # them; drawing each shuffle and chunk by itself took 15 generations
+        # the stream's first generation is its first request, the shuffle's
+        # n - 1 swap partners; then a block serves draws until a request of
+        # at most a chunk does not fit, so each block but the last serves
+        # more than BLOCK - _CHUNK of them; drawing each shuffle and chunk by
+        # itself took 15 generations
         n, bounds, alpha = 1636, _bounds(1636, 32), 0.2
         bulk, ref = RngState(40), scalar_rng(40)
         draws = 0
@@ -605,8 +607,25 @@ class TestReadAhead:
         for _ in range(5):
             plan_epoch(bulk, n, bounds, alpha)
         assert bulk._s == ref._s and bulk._spare_normal == ref._spare_normal
-        assert generated == [BLOCK] * len(generated)
+        assert generated == [n - 1] + [BLOCK] * (len(generated) - 1)
         assert len(generated) <= math.ceil(draws / (BLOCK - numerics._CHUNK)) + 1, (generated, draws)
+
+    @pytest.mark.parametrize("first", [2688, 100], ids=["lanes", "scalar"])
+    def test_only_a_stream_first_generation_is_sized_to_its_request(self, monkeypatch, first):
+        # blobs init_model draws 2688 uniforms once; whole blocks come from the second refill on
+        generated = []
+        lanes = numerics._lanes
+        monkeypatch.setattr(numerics, "_lanes", lambda words, k: generated.append(k) or lanes(words, k))
+        bulk, ref = RngState(5), scalar_rng(5)
+        for k in (first, 700, 600):
+            assert bulk._raw(k).tolist() == [ref.next_uint64() for _ in range(k)]
+            assert bulk._s == ref._s
+        assert generated == ([first] if first >= numerics._BULK_MIN else []) + [BLOCK]
+        assert (bulk._pos, bulk._end) == (1300, BLOCK)
+        bulk._unread(600)
+        ref = RngState(5)
+        ref._raw(first + 700)
+        assert bulk._raw(600).tolist() == ref._raw(600).tolist() and bulk._s == ref._s
 
     def test_a_request_of_a_block_or_more_keeps_no_block(self):
         # CIFAR init's uniforms are drawn directly; the block held before is dropped
