@@ -32,21 +32,28 @@ KIND_CHECKPOINT = 1
 
 
 def write_container(path, kind: int, meta: tuple[int, int], arrays: list[np.ndarray]) -> None:
-    parts = [MAGIC, struct.pack("<II", VERSION, kind), struct.pack("<QQ", meta[0], meta[1])]
-    parts.append(struct.pack("<I", len(arrays)))
+    """Write ``arrays`` as one container file, the payload straight from each array's buffer.
+
+    An array that is already C-contiguous little-endian float64 is written
+    without a copy; any other is converted to that layout first.
+    """
+    header = [MAGIC, struct.pack("<II", VERSION, kind), struct.pack("<QQ", meta[0], meta[1])]
+    header.append(struct.pack("<I", len(arrays)))
     payload = []
     for arr in arrays:
-        arr = np.asarray(arr, dtype=np.float64, order="C")  # keeps a 0-d array 0-d
-        parts.append(struct.pack("<I", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        payload.append(arr.astype("<f8", copy=False).tobytes())
-    write_atomic(path, b"".join(parts) + b"".join(payload))
+        arr = np.asarray(arr, dtype="<f8", order="C")  # keeps a 0-d array 0-d
+        header.append(struct.pack("<I", arr.ndim))
+        header.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+        payload.append(arr)
+    write_atomic(path, [b"".join(header), *payload])
 
 
-def write_atomic(path, data: bytes) -> None:
+def write_atomic(path, data) -> None:
     """Write ``data`` to ``path`` all at once or not at all.
 
-    The bytes go to a temporary file in the same directory, which is then
+    ``data`` is ``bytes`` or a sequence of C-contiguous buffers (``bytes``,
+    numpy arrays, ...), written one after another with no staging copy. The
+    bytes go to a temporary file in the same directory, which is then
     renamed over ``path``; if writing fails, the temporary file is removed
     and ``path`` is left as it was. The file is not fsynced, so this guards
     against a failed write or a killed process, not against power loss.
@@ -54,7 +61,9 @@ def write_atomic(path, data: bytes) -> None:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as f:
+            for part in [data] if isinstance(data, bytes) else data:
+                f.write(part)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -13,6 +13,8 @@ training split actually used and attaches them to both splits, and
 from __future__ import annotations
 
 import math
+import mmap
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -40,8 +42,6 @@ _CIFAR = {
     },
 }
 _PIXELS = 3 * 32 * 32
-# records per block of a subsampled split's label pass (787 KB of CIFAR-10 records)
-_BLOCK_RECORDS = 256
 
 
 class DatasetFileError(OSError):
@@ -142,12 +142,17 @@ def load_cifar(path, variant: str, split: str,
     Without ``keep``, each file is read whole with one ``readinto`` and
     ``images`` is a view of the pixel bytes of one record buffer. With
     ``keep``, a callable ``keep(labels, num_classes)`` that returns row
-    indices, the split is read twice: pass 1 streams each file through one
-    small block buffer and keeps only its label bytes, then ``keep`` gets the
-    int64 label of every record, after every check above, and pass 2 reads
+    indices, the split is read twice. Pass 1 maps each file read-only, copies
+    only its label bytes and closes the map, then ``keep`` gets the int64
+    label of every record, after every check above. Pass 2 seeks to and reads
     only the pixels of the rows it returns, in that order, into one
-    contiguous array. The result equals ``load_cifar(...)`` indexed by those
-    rows, bit for bit.
+    contiguous array; a record cut short by then is a ``DatasetFileError``
+    naming the file and record. The result equals ``load_cifar(...)`` indexed
+    by those rows, bit for bit. A file that shrinks between its size check
+    and its map, or during pass 1 as seen by the size check after the copy,
+    is a ``DatasetFileError`` too. One race is left: another process
+    truncating a file while its labels are being copied from the map can
+    kill this one with ``SIGBUS``.
     """
     if variant not in _CIFAR:
         raise ValueError(f"unknown variant {variant!r}, expected 'cifar10' or 'cifar100'")
@@ -171,18 +176,9 @@ def load_cifar(path, variant: str, split: str,
         return Dataset(records[:, label_bytes:], labels, num_classes, split, channels=3)
 
     label_records = np.empty((len(files) * per_file, label_bytes), dtype=np.uint8)
-    block = np.empty((min(_BLOCK_RECORDS, per_file), record_len), dtype=np.uint8)
     for i, fp in enumerate(files):
         with _checked_open(fp, expected) as f:
-            read = 0
-            for start in range(i * per_file, (i + 1) * per_file, block.shape[0]):
-                part = block[:(i + 1) * per_file - start]
-                got = f.readinto(part)
-                read += got
-                if got != part.nbytes:
-                    break
-                label_records[start:start + part.shape[0]] = part[:, :label_bytes]
-        _check_read(fp, expected, read)
+            _copy_labels(fp, f, expected, label_records[i * per_file:(i + 1) * per_file])
     _check_labels(label_records, spec["labels"], files, per_file)
     labels = label_records[:, label_bytes - 1].astype(np.int64)
     rows = np.asarray(keep(labels, num_classes))
@@ -210,10 +206,31 @@ def _checked_open(fp: Path, expected: int):
     """``fp`` opened for reading, once it is known to exist and hold exactly ``expected`` bytes."""
     if not fp.is_file():
         raise DatasetFileError(f"{fp}: missing dataset file")
-    found = fp.stat().st_size
+    _check_size(fp, expected, fp.stat().st_size)
+    return fp.open("rb")
+
+
+def _copy_labels(fp: Path, f, expected: int, out: np.ndarray) -> None:
+    """Copy the label bytes of every record of ``f``, one row of ``out`` per record.
+
+    The labels come from a read-only map of the file's ``expected`` bytes by
+    one strided copy, which touches only the pages that hold them. The numpy
+    view of the map lives only inside that statement: a map cannot be closed
+    while a view of it exists. The file's size is checked again afterwards.
+    """
+    try:
+        mapped = mmap.mmap(f.fileno(), expected, access=mmap.ACCESS_READ)
+    except ValueError:  # mmap's own size check: the file shrank after it was opened
+        _check_size(fp, expected, os.fstat(f.fileno()).st_size)
+        raise
+    with mapped:
+        np.copyto(out, np.frombuffer(mapped, dtype=np.uint8).reshape(out.shape[0], -1)[:, :out.shape[1]])
+    _check_size(fp, expected, os.fstat(f.fileno()).st_size)
+
+
+def _check_size(fp: Path, expected: int, found: int) -> None:
     if found != expected:
         raise DatasetFileError(f"{fp}: corrupt or wrong-variant file, expected {expected} bytes, found {found}")
-    return fp.open("rb")
 
 
 def _check_read(fp: Path, expected: int, read: int) -> None:
@@ -323,28 +340,32 @@ def synth_blobs(num_classes: int, per_class: int, dim: int, spread: float, seed:
     return draw("train", root.derive(0)), draw("test", root.derive(1))
 
 
-# rows counted at a time while forming byte statistics (a 2 MB intp copy of one CIFAR channel)
+# rows summed at a time while forming byte statistics (a 1.5 MB uint16 copy of 256 CIFAR rows)
 _STAT_ROWS = 256
 
 
 def _byte_statistics(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel mean and std of ``images / 255``, from exact integer moments.
+    """Per-channel mean and std of ``images / 255``, from exact integer sums.
 
-    Each channel's bytes are counted in row blocks. The counts h over N pixels
-    give exact Python ints S1 = sum v h[v] and S2 = sum v^2 h[v], so mean =
-    S1 / (255 N) and var = (N S2 - S1^2) / (255 N)^2 are each rounded once.
+    Over each channel's N pixels v, S1 = sum v and S2 = sum v^2 are exact
+    integers: the bytes and their uint16 squares (255^2 = 65025 fits) are
+    summed in row blocks, first along each row into uint32 when a row's
+    channel cannot overflow it and uint64 when it can, then over the rows into
+    int64. As Python ints they give mean = S1 / (255 N) and var = (N S2 -
+    S1^2) / (255 N)^2, each rounded once.
     """
     n, d = ds.images.shape
-    counts = np.zeros((ds.channels, 256), dtype=np.int64)
+    width = d // ds.channels
+    row_sum = np.uint32 if width * 255 * 255 < 2**32 else np.uint64
+    s1 = np.zeros(ds.channels, dtype=np.int64)
+    s2 = np.zeros(ds.channels, dtype=np.int64)
     for start in range(0, n, _STAT_ROWS):
-        block = ds.images[start:start + _STAT_ROWS].reshape(-1, ds.channels, d // ds.channels)
-        for c, h in enumerate(counts):
-            h += np.bincount(block[:, c].ravel(), minlength=256)
-    pixels = n * d // ds.channels
-    s1 = [sum(v * k for v, k in enumerate(h)) for h in counts.tolist()]
-    s2 = [sum(v * v * k for v, k in enumerate(h)) for h in counts.tolist()]
-    mean = [a / (255 * pixels) for a in s1]
-    var = [(pixels * b - a * a) / (255 * pixels) ** 2 for a, b in zip(s1, s2)]
+        block = ds.images[start:start + _STAT_ROWS].reshape(-1, ds.channels, width)
+        s1 += block.sum(axis=2, dtype=row_sum).sum(axis=0, dtype=np.int64)
+        s2 += np.square(block, dtype=np.uint16).sum(axis=2, dtype=row_sum).sum(axis=0, dtype=np.int64)
+    pixels = n * width
+    mean = [a / (255 * pixels) for a in s1.tolist()]
+    var = [(pixels * b - a * a) / (255 * pixels) ** 2 for a, b in zip(s1.tolist(), s2.tolist())]
     return np.array(mean), np.sqrt(var)
 
 

@@ -291,6 +291,8 @@ class RngState:
         least ``_BLOCK`` draws is generated directly and leaves no block.
         The stream's first generation is sized to its request: a stream that
         draws once (an ``init_model`` stream) pays no block it never reads.
+        :meth:`normals` clears ``_first`` when it will draw more than one
+        round, so its first round reads a whole block.
         """
         p = self._pos
         if p + n > self._end:
@@ -397,6 +399,8 @@ class RngState:
         ``log`` is ``math.log``, one accepted pair at a time: numpy's SIMD
         ``log`` can differ from it in the last bit, depending on the CPU.
         The other ops (+, -, *, / and sqrt) are exactly rounded in both.
+        A call of more than one round starts with a whole block, even as a
+        stream's first generation, so its rounds share one lane set-up.
         """
         n = max(n, 0)  # a negative count draws nothing, as range(n) does
         head = 1 if n and self._spare_normal is not None else 0
@@ -406,6 +410,8 @@ class RngState:
             out[0] = self._spare_normal
             self._spare_normal = None
         filled = out[head:].reshape(pairs, 2)
+        if pairs > _PAIRS_PER_ROUND:
+            self._first = False  # a whole block serves this call's later rounds too
         done = 0
         while done < pairs:
             uv = self.uniforms(2 * min(pairs - done, _PAIRS_PER_ROUND)).reshape(-1, 2)

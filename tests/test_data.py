@@ -1,14 +1,18 @@
 import hashlib
+import os
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from icmix import data
 from icmix.data import (
+    _STAT_ROWS,
     Dataset,
     DatasetFileError,
     _blob_means,
+    _byte_statistics,
     load_cifar,
     longtail_subsample,
     standardize,
@@ -209,6 +213,36 @@ class TestKeptRecords:
                            match=r"data_batch_2.bin: record 9999: expected 3072 pixel bytes, read 2972$"):
             load_cifar(broken, "cifar10", "train", keep=truncate_then_keep)
 
+    def test_file_shrinking_after_its_size_check_is_a_dataset_file_error(self, tmp_path, cifar10_dir, monkeypatch):
+        # the size check passes, then the file loses a record before the label pass maps it: mmap's own
+        # check raises ValueError, which must reach the caller as a DatasetFileError naming the file (exit 3)
+        broken = _copy_tree(tmp_path, cifar10_dir, "data_batch_4.bin")
+        real_checked_open = data._checked_open
+
+        def open_then_truncate(fp, expected):
+            f = real_checked_open(fp, expected)
+            if fp.name == "data_batch_4.bin":
+                with open(fp, "r+b") as g:
+                    g.truncate(expected - 3073)
+            return f
+
+        monkeypatch.setattr(data, "_checked_open", open_then_truncate)
+        with pytest.raises(DatasetFileError,
+                           match=r"data_batch_4.bin: corrupt or wrong-variant file, expected 30730000 bytes, "
+                                 r"found 30726927$"):
+            load_cifar(broken, "cifar10", "train", keep=lambda labels, c: np.array([0]))
+
+    def test_a_keep_that_raises_leaves_no_map_and_no_open_file(self, cifar10_dir):
+        def failing_keep(labels, num_classes):
+            raise RuntimeError("keep failed")
+
+        fds = set(os.listdir("/proc/self/fd"))
+        with pytest.raises(RuntimeError, match="keep failed"):
+            load_cifar(cifar10_dir, "cifar10", "train", keep=failing_keep)
+        with open("/proc/self/maps") as maps:
+            assert "data_batch" not in maps.read()
+        assert set(os.listdir("/proc/self/fd")) == fds
+
     def test_build_memory_is_bounded_by_the_kept_rows(self, cifar10_dir):
         spec = dataset_spec_from_dict({"kind": "cifar10", "path": str(cifar10_dir), "fraction": 0.1, "seed": 5})
         tracemalloc.start()
@@ -217,8 +251,8 @@ class TestKeptRecords:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the kept pixels, the test split's one record buffer, and 4 MiB for the 787 KB label-pass block,
-        # the labels and the 2 MB block of the byte statistics; reading every record first peaks near 200 MB
+        # the kept pixels, the test split's one record buffer, and 4 MiB for the labels and the 1.5 MB
+        # block of the byte statistics; reading every record first peaks near 200 MB
         assert train.images.shape == (5000, 3072) and test.images.base.shape == (10000, 3073)
         assert peak <= 5000 * 3072 + 10000 * 3073 + 4 * 2**20, peak
 
@@ -463,6 +497,19 @@ class TestStandardize:
         mean, std = byte_statistics_from_sums([s1], [s2], images.size)
         assert train_std.mean.tobytes() == mean.tobytes()
         assert train_std.std.tobytes() == std.tobytes()
+
+    @pytest.mark.parametrize("rows, width", [(2 * _STAT_ROWS + 3, 1024), (3, 66052)], ids=["cifar", "wide_rows"])
+    def test_byte_statistics_at_the_byte_extremes(self, rows, width):
+        # channels of all-0 bytes, all-255 bytes and random bytes, over row blocks with a short last one; at
+        # 66052 pixels a row's channel holds 255^2 * 66052 > 2**32, past a uint32 row sum
+        images = np.zeros((rows, 3, width), dtype=np.uint8)
+        images[:, 1] = 255
+        images[:, 2] = np.random.default_rng(width).integers(0, 256, size=(rows, width), dtype=np.uint8)
+        grouped = images.astype(np.int64)
+        want = byte_statistics_from_sums(grouped.sum(axis=(0, 2)), (grouped * grouped).sum(axis=(0, 2)), rows * width)
+        got = _byte_statistics(Dataset(images.reshape(rows, -1), np.zeros(rows, dtype=int), 1, "train", channels=3))
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        assert got[0][:2].tolist() == [0.0, 1.0] and got[1][:2].tolist() == [0.0, 0.0]
 
     def test_byte_and_float_splits_cannot_mix(self):
         train = Dataset(np.arange(12, dtype=np.uint8).reshape(2, 6), np.array([0, 1]), 2, "train", channels=3)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from icmix import container
 from icmix.harness import (
     ConfigError,
     DatasetSpec,
@@ -446,6 +447,47 @@ class TestEvaluateCifarBlocks:
         assert peak <= 2 * 2048 * d * 8 + n * hidden * 8, peak
 
 
+def _checkpoint_size(params):
+    """The size of ``params``' checkpoint file: a 36-byte header, each array's shape entry, the payload."""
+    return 36 + sum(4 + 8 * a.ndim + a.nbytes for a in params.checkpoint_order())
+
+
+def _disk_full_halfway(monkeypatch, sizes):
+    """Make the disk fill up halfway through the files that ``container.write_atomic`` writes.
+
+    ``sizes`` maps part of a file name to the file's full size. A temporary
+    file whose name holds one of them gets the first half of its bytes, then
+    the write that would go past them raises ENOSPC, as a full disk does.
+    Other files are written whole.
+    """
+    real_open = open
+
+    class HalfFull:
+        def __init__(self, f, room):
+            self.f, self.room = f, room
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            data = memoryview(data).cast("B")
+            written = self.f.write(data[:self.room])
+            self.room -= written
+            if written < len(data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return written
+
+    def open_disk_full(file, *args, **kwargs):
+        f = real_open(file, *args, **kwargs)
+        size = next((size for name, size in sizes.items() if name in Path(file).name), None)
+        return f if size is None else HalfFull(f, size // 2)
+
+    monkeypatch.setattr(container, "open", open_disk_full, raising=False)
+
+
 class TestTrain:
     def test_smoke_accuracy_five_seeds(self):
         accs = [train(_blob_config(method="none", seed=s, epochs=50)).final_test_accuracy
@@ -474,6 +516,7 @@ class TestTrain:
             raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(Path, "write_bytes", half_then_disk_full)
+        _disk_full_halfway(monkeypatch, {"new.bin": _checkpoint_size(init_model(4, [], 2, RngState(0)))})
         with pytest.raises(OSError, match="No space left"):
             train(_blob_config(method="mixup", seed=9, epochs=2), out_dir=tmp_path)
         with pytest.raises(OSError, match="No space left"):
@@ -485,15 +528,7 @@ class TestTrain:
         train(_blob_config(method="mixup", seed=6, epochs=2), out_dir=tmp_path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert sorted(before) == ["checkpoint.bin", "metrics.csv", "run_report.json"]
-        real_write_bytes = Path.write_bytes
-
-        def checkpoint_disk_full(path, data):
-            if "checkpoint.bin" not in path.name:
-                return real_write_bytes(path, data)
-            real_write_bytes(path, data[:len(data) // 2])
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(Path, "write_bytes", checkpoint_disk_full)
+        _disk_full_halfway(monkeypatch, {"checkpoint.bin": len(before["checkpoint.bin"])})
         # a different run, so every one of its files would differ from the old one
         with pytest.raises(OSError, match="No space left"):
             train(_blob_config(method="ic_mixup", seed=9, epochs=3), out_dir=tmp_path)

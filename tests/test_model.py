@@ -2,6 +2,7 @@ import math
 import re
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,6 +371,39 @@ class TestCheckpoint:
         assert [a.shape for a in got] == [(), (3, 2), (2, 0), (1,)]
         for a, b in zip(got, arrays):
             assert np.array_equal(a.view(np.uint64), np.asarray(b).view(np.uint64))
+
+    @pytest.mark.parametrize("array", [
+        np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+        np.arange(24.0).reshape(4, 6)[::2, 1::2],
+        np.array(-2.5),
+        np.arange(6.0, dtype=">f8").reshape(2, 3),
+        np.arange(5, dtype=np.int32),
+    ], ids=["fortran", "strided", "0d", "big_endian", "int32"])
+    def test_any_layout_writes_the_bytes_of_its_c_order_copy(self, tmp_path, array):
+        # the file a one-buffer write makes: the header, then each array's C-order little-endian bytes
+        arrays = [np.ones((2, 2)), array]
+        header = container.MAGIC + struct.pack("<IIQQI", container.VERSION, container.KIND_CHECKPOINT, 1, 0, 2)
+        for a in arrays:
+            header += struct.pack(f"<I{a.ndim}Q", a.ndim, *a.shape)
+        payload = b"".join(np.asarray(a, dtype=np.float64, order="C").astype("<f8", copy=False).tobytes()
+                           for a in arrays)
+        container.write_container(tmp_path / "a.bin", container.KIND_CHECKPOINT, (1, 0), arrays)
+        assert (tmp_path / "a.bin").read_bytes() == header + payload
+        assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
+
+    def test_cifar_checkpoint_is_written_without_a_staging_copy(self, tmp_path):
+        # the [3072, 512, 10] parameter vector is 12.6 MB; the header is the only thing built in memory
+        params = _random_net(106, 3072, [512], 10)
+        tracemalloc.start()
+        try:
+            save_checkpoint(params, tmp_path / "model.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        # the 36-byte header, then ndim and dims of the weights (2-d), the bias (1-d) and the final weights (2-d)
+        assert (tmp_path / "model.bin").stat().st_size == 36 + 3 * 4 + 8 * (2 + 1 + 2) + params.flat.nbytes
+        assert np.array_equal(load_checkpoint(tmp_path / "model.bin").flat, params.flat)
 
     @pytest.mark.parametrize("dims", [(2**32, 2**32), (2**63,), (2**63, 2**63, 3)])
     def test_huge_dims_rejected_by_length_check(self, tmp_path, dims):

@@ -627,6 +627,19 @@ class TestReadAhead:
         ref._raw(first + 700)
         assert bulk._raw(600).tolist() == ref._raw(600).tolist() and bulk._s == ref._s
 
+    @pytest.mark.parametrize("pairs, first", [(numerics._PAIRS_PER_ROUND, 2 * numerics._PAIRS_PER_ROUND),
+                                              (numerics._PAIRS_PER_ROUND + 1, BLOCK)], ids=["one_round", "two_rounds"])
+    def test_a_normals_call_of_more_than_one_round_starts_with_a_whole_block(self, monkeypatch, pairs, first):
+        # a blobs split of 64000 pairs draws 16 rounds: its stream's first generation is a block, not one round
+        generated = []
+        lanes = numerics._lanes
+        monkeypatch.setattr(numerics, "_lanes", lambda words, k: generated.append(k) or lanes(words, k))
+        bulk, ref = RngState(9), scalar_rng(9)
+        got = bulk.normals(2 * pairs)
+        assert np.array_equal(_bits(got), _bits(np.array([ref.normal() for _ in range(2 * pairs)])))
+        assert bulk._s == ref._s and bulk._spare_normal == ref._spare_normal
+        assert generated[0] == first and generated[1:] == [BLOCK] * (len(generated) - 1)
+
     def test_a_request_of_a_block_or_more_keeps_no_block(self):
         # CIFAR init's uniforms are drawn directly; the block held before is dropped
         n = 3072 * 512
