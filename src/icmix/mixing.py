@@ -144,10 +144,10 @@ def mix_batch(
     :func:`icmix.numerics.plan_epoch` draws them; label weights use the same
     ratio for mixup-style methods and the remix rule for remix-style methods.
     Method "none" passes inputs through unchanged with one-hot weights and
-    needs no draws. A partner outside [0, B) is a ValueError. For regmixup
-    methods this builds only the mixed half; compose with the clean batch
-    via :func:`regmixup_compose`. Of ``config``
-    (a :class:`icmix.harness.MixConfig`) only ``method``, ``tau`` and ``kappa`` are read.
+    needs no draws. Missing draws, or a partner outside [0, B), is a
+    ValueError. For regmixup methods this builds only the mixed half; compose
+    with the clean batch via :func:`regmixup_compose`. Of ``config`` (a
+    :class:`icmix.harness.MixConfig`) only ``method``, ``tau`` and ``kappa`` are read.
     """
     inputs = matrix(inputs, name="inputs")
     labels = _checked_labels(labels, histogram.num_classes)
@@ -158,9 +158,9 @@ def mix_batch(
         return _clean(inputs, labels, histogram.num_classes)
     if b < 2:
         raise ValueError("batch too small to pair")
-    perm, lambdas = draws
-    if perm.shape != (b,) or lambdas.shape != (b,):
+    if draws is None or draws[0].shape != (b,) or draws[1].shape != (b,):
         raise ValueError("draws must hold one partner and one ratio per row")
+    perm, lambdas = draws
     _checked_partners(perm, b)
 
     lam_col = lambdas[:, None]

@@ -9,7 +9,8 @@ samplers step many jump-ahead lanes of the one stream at once with numpy,
 and draw exactly what the scalar samplers would. Bulk draws are generated a
 block ahead, and every draw, scalar or bulk, reads that block first.
 :func:`plan_epoch` draws a training epoch's shuffle, partner permutations
-and Beta(a, a) ratios ahead, exactly as the scalar loop would.
+and Beta(a, a) ratios ahead, exactly as the scalar loop would, reading
+the block in place.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ _NIBBLE_SHIFTS = np.arange(0, 64, 4, dtype=np.uint64)
 # below this many raw draws, the scalar loop is faster than setting up lanes
 _BULK_MIN = 512
 # bulk normals draw at most this many candidate pairs at once, and bulk
-# permutations and plans at most twice as many raw draws, which keeps their
-# temporary arrays small. All of them read raw draws from a read-ahead block
-# of _BLOCK draws (see RngState._raw), so one lane set-up serves about three
-# rounds or chunks; a block of 2**16 draws was faster, but its temporaries
-# broke the plan's memory bound of a few chunks
+# permutations at most twice as many raw draws, which keeps their temporary
+# arrays small. They read raw draws from a read-ahead block of _BLOCK draws
+# (see RngState._refill), so one lane set-up serves about three rounds or
+# chunks, and the epoch plan reads the block in place; a block of 2**16 draws
+# was faster, but its temporaries broke the plan's memory bound of 1 MiB
 _PAIRS_PER_ROUND = 4096
 _CHUNK = 2 * _PAIRS_PER_ROUND
 _BLOCK = 1 << 15
@@ -224,8 +225,9 @@ class RngState:
     ``uniforms``, ``normals`` and ``permutation`` draw in bulk: the same
     values, in the same order, as that many calls of ``random``, ``normal``
     and ``randbelow``, computed with numpy array ops (see :meth:`_raw`).
-    Bulk draws are generated ahead in blocks, which every draw reads first;
-    ``_s`` is still the exact state after the last draw read.
+    Bulk draws are generated ahead in blocks, which every draw reads first
+    (the epoch plan's walk in place, moving ``_pos``); ``_s`` is still the
+    exact state after the last draw read.
     """
 
     def __init__(self, seed: int):
@@ -283,51 +285,53 @@ class RngState:
         """The next ``n`` outputs of :meth:`next_uint64` as a new uint64 array.
 
         The state advances by exactly ``n``. The draws are read from the
-        block. A request the block cannot serve whole refills it from the
-        current position: ``_BLOCK`` draws by :func:`_lanes`, or below
-        ``_BULK_MIN`` draws (where the scalar loop is faster) just the
-        request, by scalar steps. So the draws of the last request all lie in
-        the block, and :meth:`_unread` can give them back. A request of at
-        least ``_BLOCK`` draws is generated directly and leaves no block.
-        The stream's first generation is sized to its request: a stream that
-        draws once (an ``init_model`` stream) pays no block it never reads.
-        :meth:`normals` clears ``_first`` when it will draw more than one
-        round, so its first round reads a whole block.
+        block; a request the block cannot serve whole refills it from the
+        current position (see :meth:`_refill`). A request of at least
+        ``_BLOCK`` draws is generated directly and leaves no block.
         """
-        p = self._pos
-        if p + n > self._end:
-            words, first = self._s, self._first
-            self._first = False
+        if self._pos + n > self._end:
             if n >= _BLOCK:
-                out, _, _, self._s = _lanes(words, n)
+                self._first = False
+                out, _, _, self._s = _lanes(self._s, n)
                 return out
-            self._s = words  # drop the old block before the new one is drawn
-            if n < _BULK_MIN:
-                start = list(words)
-                block = np.fromiter((_step(words) for _ in range(n)), dtype=np.uint64, count=n)
-                starts, steps = np.array([start], dtype=np.uint64), n
-            else:
-                block, starts, steps, words = _lanes(words, n if first else _BLOCK)
-            self._words, self._block, self._starts, self._steps = words, block, starts, steps
-            self._ahead, self._end, p = memoryview(block), block.size, 0
+            self._refill(n)
+        p = self._pos
         self._pos = p + n
         return self._block[p:p + n].copy()
 
-    def _unread(self, count: int) -> None:
-        """Give back the last ``count`` draws read, which must lie in the block: the next reads repeat them."""
-        if not 0 <= count <= self._pos:
-            raise ValueError(f"cannot give back {count} draws: {self._pos} were read from the block")
-        self._pos -= count
+    def _refill(self, n: int) -> None:
+        """Replace the block by the draws from the current position on, for a request of ``n`` <= ``_BLOCK``.
+
+        Below ``_BULK_MIN`` (where the scalar loop is faster) the block is
+        the ``n`` draws, by scalar steps; else ``_BLOCK`` draws by :func:`_lanes`,
+        but a stream's first generation is sized to its request: a stream
+        that draws once (an ``init_model`` stream) pays no block it never
+        reads. :meth:`normals` clears ``_first`` when it will draw more than
+        one round, so its first round reads a whole block.
+        """
+        words, first = self._s, self._first
+        self._first = False
+        self._s = words  # drop the old block before the new one is drawn
+        if n < _BULK_MIN:
+            start = list(words)
+            block = np.fromiter((_step(words) for _ in range(n)), dtype=np.uint64, count=n)
+            starts, steps = np.array([start], dtype=np.uint64), n
+        else:
+            block, starts, steps, words = _lanes(words, n if first else _BLOCK)
+        self._words, self._block, self._starts, self._steps = words, block, starts, steps
+        self._ahead, self._end = memoryview(block), block.size
 
     def random(self) -> float:
         """Uniform in [0, 1) with 53 random bits."""
         return (self.next_uint64() >> 11) * _INV_2_53
 
     def randbelow(self, n: int) -> int:
-        """Unbiased integer in [0, n) via rejection sampling."""
+        """Unbiased integer in [0, n) via rejection sampling, for 1 <= n <= 2**64."""
+        span = _MASK64 + 1
         if n <= 0:
             raise ValueError("randbelow requires n >= 1")
-        span = _MASK64 + 1
+        if n > span:  # every draw would be rejected
+            raise ValueError("randbelow requires n <= 2**64")
         limit = span - span % n
         while True:
             r = self.next_uint64()
@@ -482,12 +486,11 @@ def plan_epoch(rng: RngState, n: int, batch_bounds, alpha: float | None):
     bounds run on from 0, as the training loop makes them. With ``alpha``
     None the batches draw nothing (no mixing) and both arrays are empty.
 
-    Raw draws are taken in bulk, ``_CHUNK`` at a time, and numpy turns them
-    into uniforms. A Python walk then follows the scalar samplers' path
-    through them (see :func:`_walk`); every value that decides a draw comes
-    from the same IEEE operations as in the scalar samplers. Draws the walk
-    did not use are given back: the generator is left where the scalar loop
-    would have left it, pending spare included.
+    A Python walk (see :func:`_walk`) follows the scalar samplers' path
+    through the generator's read-ahead block, read in place and turned into
+    uniforms once by numpy; every value that decides a draw comes from the
+    same IEEE operations as in the scalar samplers. The generator is left
+    where the scalar loop would have left it, pending spare included.
     """
     if alpha is not None and not 0.0 < alpha < math.inf:
         raise ValueError("invalid shape parameter")
@@ -500,38 +503,30 @@ def plan_epoch(rng: RngState, n: int, batch_bounds, alpha: float | None):
     return order, partners, lambdas
 
 
-class _Window:
-    """The part of the raw stream the walk reads.
+def _read_ahead(rng: RngState, raw: memoryview | None, out: np.ndarray):
+    """The walk's view of ``rng``'s block, its size and the position to read next.
 
-    ``raw`` holds the draws and ``uni`` each one as :meth:`RngState.random`
-    would return it. The walk reads the draws a window keeps from the one
-    before it ahead of any new one, so those it leaves unread all come from
-    the last chunk, which the generator can take back.
+    Given ``raw``, the view of a block the walk has read to its end, the
+    block is refilled first; ``raw`` is released before, so the old block
+    is freed before :func:`_lanes` draws the new one. ``out`` (float64, of
+    ``_BLOCK``) gets each unread draw as :meth:`RngState.random` returns it.
     """
-
-    def __init__(self, rng: RngState):
-        self.rng = rng
-        self.raw = np.empty(0, dtype=np.uint64)
-
-    def advance(self, p: int):
-        """Drop the draws before ``p`` and append one ``_CHUNK``; the walk goes on at 0."""
-        r = np.concatenate([self.raw[p:], self.rng._raw(_CHUNK)])
-        self.raw = r
-        uni = (r >> _U64(11)).astype(np.float64)
-        uni *= _INV_2_53
-        return memoryview(r), memoryview(uni), r.size, 0
-
-    def give_back(self, p: int) -> None:
-        """Un-read the draws from ``p`` on: the generator is left just after the draw before ``p``."""
-        self.rng._unread(self.raw.size - p)
+    if raw is not None:
+        raw.release()
+        rng._pos = rng._end  # the refill starts from the state after the block's last draw
+        rng._refill(_BLOCK)
+    block, start = rng._block, rng._pos
+    np.multiply(block[start:] >> _U64(11), _INV_2_53, out=out[start:block.size])
+    return memoryview(block), block.size, start
 
 
 def _walk(rng: RngState, sizes: list[int], a: float, partners: np.ndarray, lambdas: memoryview) -> None:
     """Fill ``partners`` and ``lambdas`` as the scalar loop of :func:`plan_epoch` would.
 
     The code follows ``randbelow``, ``normal``, ``_gamma`` and
-    ``sample_beta`` step by step, reading position ``p`` of the window
-    where they call ``next_uint64``. ``math.log``, ``math.sqrt`` and the
+    ``sample_beta`` step by step, reading position ``p`` of the generator's
+    block where they call ``next_uint64``; the block's position is left
+    after its last draw. ``math.log``, ``math.sqrt`` and the
     boost's ``**`` stay scalar calls, so each value is the scalar one.
     """
     span = _MASK64 + 1
@@ -542,9 +537,9 @@ def _walk(rng: RngState, sizes: list[int], a: float, partners: np.ndarray, lambd
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
     log, sqrt, floor = math.log, math.sqrt, math.floor
-    window = _Window(rng)
-    raw = uni = ()
-    end = p = 0
+    values = np.empty(_BLOCK, dtype=np.float64)
+    uni = memoryview(values)
+    raw, end, p = _read_ahead(rng, None, values)
     spare = rng._spare_normal
     row = 0
     for b in sizes:
@@ -553,7 +548,7 @@ def _walk(rng: RngState, sizes: list[int], a: float, partners: np.ndarray, lambd
             limit = limits[i + 1]
             while True:
                 if p >= end:
-                    raw, uni, end, p = window.advance(p)
+                    raw, end, p = _read_ahead(rng, raw, values)
                 r = raw[p]
                 p += 1
                 if r < limit:
@@ -568,7 +563,7 @@ def _walk(rng: RngState, sizes: list[int], a: float, partners: np.ndarray, lambd
                     if boost:
                         while True:
                             if p >= end:
-                                raw, uni, end, p = window.advance(p)
+                                raw, end, p = _read_ahead(rng, raw, values)
                             ub = uni[p]
                             p += 1
                             if ub > 0.0:
@@ -576,11 +571,14 @@ def _walk(rng: RngState, sizes: list[int], a: float, partners: np.ndarray, lambd
                     while True:  # Marsaglia-Tsang
                         if spare is None:
                             while True:  # Marsaglia polar
-                                while p + 1 >= end:
-                                    raw, uni, end, p = window.advance(p)
+                                if p >= end:
+                                    raw, end, p = _read_ahead(rng, raw, values)
                                 wu = 2.0 * uni[p] - 1.0
-                                wv = 2.0 * uni[p + 1] - 1.0
-                                p += 2
+                                p += 1
+                                if p >= end:
+                                    raw, end, p = _read_ahead(rng, raw, values)
+                                wv = 2.0 * uni[p] - 1.0
+                                p += 1
                                 s = wu * wu + wv * wv
                                 if 0.0 < s < 1.0:
                                     break
@@ -595,7 +593,7 @@ def _walk(rng: RngState, sizes: list[int], a: float, partners: np.ndarray, lambd
                             continue
                         v = t * t * t
                         if p >= end:
-                            raw, uni, end, p = window.advance(p)
+                            raw, end, p = _read_ahead(rng, raw, values)
                         u = uni[p]
                         p += 1
                         if u < 1.0 - 0.0331 * x * x * x * x:
@@ -615,5 +613,5 @@ def _walk(rng: RngState, sizes: list[int], a: float, partners: np.ndarray, lambd
                         break
             lambdas[row] = lam
             row += 1
-    window.give_back(p)
+    rng._pos = p
     rng._spare_normal = spare

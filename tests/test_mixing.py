@@ -164,7 +164,7 @@ def test_batch_too_small_to_pair():
 def test_draws_must_match_the_batch():
     inputs, labels = np.zeros((3, 2)), np.array([0, 1, 0])
     hist = ClassHistogram.from_labels(labels, 2)
-    for draws in (_draws([1, 0], [0.5, 0.5]), _draws([1, 2, 0], [0.5, 0.5]), _plan(RngState(12), 4)):
+    for draws in (_draws([1, 0], [0.5, 0.5]), _draws([1, 2, 0], [0.5, 0.5]), _plan(RngState(12), 4), None):
         with pytest.raises(ValueError, match="one partner and one ratio per row"):
             mix_batch(inputs, labels, MixConfig(method="mixup"), hist, draws)
 

@@ -158,13 +158,16 @@ class TestRng:
         draws = [rng.randbelow(7) for _ in range(2000)]
         assert set(draws) == set(range(7))
 
-    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("n", [0, -1, 2**64 + 1])
     def test_randbelow_needs_a_positive_bound(self, n):
+        # above 2**64 every draw would be rejected: the loop never ended
         rng = RngState(23)
         state = list(rng._s)
-        with pytest.raises(ValueError, match="randbelow requires n >= 1"):
+        with pytest.raises(ValueError, match="randbelow requires n >= 1" if n < 1 else r"randbelow requires n <= 2\*\*64"):
             rng.randbelow(n)
         assert rng._s == state  # nothing drawn
+        # 2**64 itself accepts every draw
+        assert rng.randbelow(2**64) == RngState(23).next_uint64()
 
     def test_complement_exact_on_grid(self):
         rng = RngState(23)
@@ -320,7 +323,7 @@ PLANS = {
     "pairs": (9, _bounds(8, 2)),
     # B=20 at regmixup: the draws are those of the 20-row mixed half
     "regmixup_half": (50, _bounds(50, 20)),
-    # about 3000 * 7 raw draws at alpha 0.2, several chunks of numerics._CHUNK
+    # about 3000 * 7 raw draws at alpha 0.2, the walk's first block read from its start
     "chunks": (3000, _bounds(3000, 64)),
 }
 
@@ -337,22 +340,34 @@ def _assert_plan_is_scalar_loop(plan, expected):
 
 
 class _Fed(RngState):
-    """Raw draws read from a list in turn; the state is the position in the list."""
+    """Raw draws read from a list in turn, through blocks; the state is the position in the list.
 
-    def __init__(self, stream):
+    A whole-block request, the walk's, is served by the next ``size`` draws
+    of the list (fewer where it runs out); any other request by exactly its
+    own, as the generator serves one below ``_BULK_MIN``.
+    """
+
+    def __init__(self, stream, size=numerics._BLOCK):
         super().__init__(0)
-        self.stream = stream
+        self.stream, self.size = stream, size
         self._s = [0]
 
+    # the block's end in the list, less the draws of the block still unread
+    _s = property(lambda self: [self._words[0] - self._end + self._pos], RngState._s.fset)
+
     def next_uint64(self):
-        self._s = [self._s[0] + 1]
-        return self.stream[self._s[0] - 1]
+        if self._pos == self._end:
+            self._refill(1)
+        return super().next_uint64()
 
-    def _raw(self, n):
-        return np.array([self.next_uint64() for _ in range(n)], dtype=np.uint64)
-
-    def _unread(self, count):
-        self._s = [self._s[0] - count]
+    def _refill(self, n):
+        at = self._s[0]
+        draws = self.stream[at:at + (self.size if n == numerics._BLOCK else n)]
+        if not draws:
+            raise IndexError("the stream is used up")
+        self._s = [at + len(draws)]
+        self._block = np.array(draws, dtype=np.uint64)
+        self._ahead, self._end = memoryview(self._block), len(draws)
 
 
 def _scalar_fed(stream):
@@ -402,40 +417,29 @@ class TestEpochPlan:
 
     @pytest.mark.parametrize("chunks", [1, 4])
     def test_walk_ending_exactly_on_a_chunk_boundary(self, monkeypatch, chunks):
-        # the walk's raw draws are counted on the scalar loop; with a chunk of
-        # that count over `chunks`, and every draw a whole chunk, the last
-        # draw the walk uses is the last of its last chunk
+        # the walk's raw draws are counted on the scalar loop; with a block of
+        # that count over `chunks`, the shuffle's draws a block of their own
+        # (the stream's first generation) and every refill a whole block, the
+        # last draw the walk uses is the last of its last block
         n, bounds, alpha = 200, _bounds(200, 25), 0.2
-
-        def walk_draws(seed):
-            ref = scalar_rng(seed)
-            ref.permutation(n)
-            count = 0
-            step = ref.next_uint64
-
-            def counted():
-                nonlocal count
-                count += 1
-                return step()
-
-            ref.next_uint64 = counted
-            scalar_epoch(ref, 0, bounds, alpha)
-            return count
-
         for seed in range(50):
-            used = walk_draws(seed)
+            used = _scalar_plan_draws(RngState(seed), n, bounds, alpha) - (n - 1)
             if used % chunks == 0:
                 break
-        monkeypatch.setattr(numerics, "_CHUNK", used // chunks)
-        drawn = []
+        block = used // chunks
+        monkeypatch.setattr(numerics, "_BLOCK", block)
+        refills = []
         bulk, ref = RngState(seed), scalar_rng(seed)
-        raw = bulk._raw
-        bulk._raw = lambda k: drawn.append(k) or raw(k)
+        refill = bulk._refill
+        bulk._refill = lambda k: refills.append(k) or refill(k)
         plan = plan_epoch(bulk, n, bounds, alpha)
         _assert_plan_is_scalar_loop(plan, scalar_epoch(ref, n, bounds, alpha))
         assert bulk._s == ref._s and bulk._spare_normal == ref._spare_normal
-        # the shuffle's own draws, then exactly the chunks the walk used up
-        assert sum(drawn) == n - 1 + used and drawn[-chunks:] == [used // chunks] * chunks
+        # the shuffle's own block, then exactly the blocks the walk used up
+        assert refills == [n - 1] + [block] * chunks and (bulk._pos, bulk._end) == (block, block)
+        # the generator goes on as the scalar one does, from the block's end
+        assert np.array_equal(_bits(bulk.normals(3)), _bits(ref.normals(3)))
+        assert bulk._s == ref._s
 
     @pytest.mark.parametrize("batch", [0, 2, 4])
     def test_partners_with_draws_at_and_above_the_limit(self, batch):
@@ -465,9 +469,9 @@ class TestEpochPlan:
         _assert_plan_is_scalar_loop(plan, expected)
         assert bulk._s == fed._s and bulk._spare_normal == ref._spare_normal
 
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
-    def test_small_chunks_and_rejected_polar_pairs(self, monkeypatch, chunk):
-        # chunks this small end inside polar pairs at every alignment; where the
+    @pytest.mark.parametrize("size", [1, 2, 3, 7])
+    def test_small_chunks_and_rejected_polar_pairs(self, size):
+        # blocks this small end inside polar pairs at every alignment; where the
         # scalar loop starts a polar pair in batch 2, the stream holds three
         # pairs it rejects: uniforms (0.5, 0.5), s == 0; (0.5, 0.0), s == 1
         # exactly; and (1 - 2**-53, 1 - 2**-53), s > 1
@@ -484,8 +488,7 @@ class TestEpochPlan:
         at = next(q for q in pairs if q > starts[3])  # starts[0] is the shuffle's
         stream[at:at + len(script)] = script
 
-        monkeypatch.setattr(numerics, "_CHUNK", chunk)
-        bulk, (ref, fed) = _Fed(stream), _scalar_fed(stream)
+        bulk, (ref, fed) = _Fed(stream, size), _scalar_fed(stream)
         plan = plan_epoch(bulk, n, bounds, alpha)
         _assert_plan_is_scalar_loop(plan, scalar_epoch(ref, n, bounds, alpha))
         assert bulk._s == fed._s and bulk._spare_normal == ref._spare_normal
@@ -561,33 +564,53 @@ class TestReadAhead:
             assert bulk._s == ref._s and bulk._spare_normal == ref._spare_normal, step
 
     @pytest.mark.parametrize("edge", ["new_block_first_draw", "one_before_block_end", "at_block_end"])
-    def test_plan_giving_back_at_a_block_edge(self, monkeypatch, edge):
+    def test_plan_ending_at_a_block_edge(self, monkeypatch, edge):
         # the plan starts at draw 2 * BLOCK, after a direct request (no
-        # block) and a request that fills a block. With a chunk of used - 1
-        # draws, the walk reads one draw of its second chunk, which starts a
-        # new block: it gives back all of that block but its first draw.
-        # With used + 1, it leaves the block's last draw; with used, it ends
-        # on the block's end
+        # block) and a request that fills a block, with one draw fewer than
+        # it uses, one more, or exactly as many left in the block: it ends
+        # on the first draw of a new block, one before the block's end, or on
+        # the block's end, where it draws no new block
         bounds, alpha, start = _bounds(200, 25), 0.2, 2 * BLOCK
         at_start = RngState(31)
         at_start._raw(start)
         used = _scalar_plan_draws(at_start, 0, bounds, alpha)
-        # the chunk, the draws its first request leaves in the block, and the block position after the plan
-        chunk, left, end_pos = {"new_block_first_draw": (used - 1, 1, 1),
-                                "one_before_block_end": (used + 1, 0, BLOCK - 1),
-                                "at_block_end": (used, 0, BLOCK)}[edge]
+        # the draws left in the block before the plan, the block position after it, and the blocks it draws
+        left, end_pos, blocks = {"new_block_first_draw": (used - 1, 1, [BLOCK]),
+                                 "one_before_block_end": (used + 1, BLOCK - 1, []),
+                                 "at_block_end": (used, BLOCK, [])}[edge]
         bulk, ref = RngState(31), scalar_rng(31)
-        for k in (start - (BLOCK - chunk - left), BLOCK - chunk - left):
+        for k in (start - (BLOCK - left), BLOCK - left):
             assert bulk._raw(k).tolist() == [ref.next_uint64() for _ in range(k)]
-        assert (bulk._pos, bulk._end) == (BLOCK - chunk - left, BLOCK)
-        monkeypatch.setattr(numerics, "_CHUNK", chunk)
+        assert (bulk._pos, bulk._end) == (BLOCK - left, BLOCK)
+        generated = []
+        lanes = numerics._lanes
+        monkeypatch.setattr(numerics, "_lanes", lambda words, k: generated.append(k) or lanes(words, k))
         _assert_plan_is_scalar_loop(plan_epoch(bulk, 0, bounds, alpha), scalar_epoch(ref, 0, bounds, alpha))
-        assert (bulk._pos, bulk._end) == (end_pos, BLOCK)
+        assert (bulk._pos, bulk._end) == (end_pos, BLOCK) and generated == blocks
         assert bulk._s == ref._s and bulk._spare_normal == ref._spare_normal
         # the generator goes on as the scalar one does, across the block's end
         assert bulk._raw(5).tolist() == [ref.next_uint64() for _ in range(5)]
         assert np.array_equal(_bits(bulk.normals(3)), _bits(ref.normals(3)))
         assert bulk._s == ref._s
+
+    def test_a_plan_that_fits_in_the_block_generates_none(self, monkeypatch):
+        # the plan starts at draw 2 * BLOCK, as in the test above, with
+        # fewer than _CHUNK draws left in the block but 100 more than it
+        # takes: its shuffle and its walk read them where they lie
+        n, bounds, alpha, start = 200, _bounds(200, 25), 0.2, 2 * BLOCK
+        at_start = RngState(32)
+        at_start._raw(start)
+        left = _scalar_plan_draws(at_start, n, bounds, alpha) + 100
+        assert left < numerics._CHUNK
+        bulk, ref = RngState(32), scalar_rng(32)
+        for k in (start - (BLOCK - left), BLOCK - left):
+            assert bulk._raw(k).tolist() == [ref.next_uint64() for _ in range(k)]
+        generated = []
+        lanes = numerics._lanes
+        monkeypatch.setattr(numerics, "_lanes", lambda words, k: generated.append(k) or lanes(words, k))
+        _assert_plan_is_scalar_loop(plan_epoch(bulk, n, bounds, alpha), scalar_epoch(ref, n, bounds, alpha))
+        assert generated == [] and (bulk._pos, bulk._end) == (BLOCK - 100, BLOCK)
+        assert bulk._s == ref._s and bulk._spare_normal == ref._spare_normal
 
     def test_five_longtail_plans_generate_few_blocks(self, monkeypatch):
         # the stream's first generation is its first request, the shuffle's
@@ -622,10 +645,6 @@ class TestReadAhead:
             assert bulk._s == ref._s
         assert generated == ([first] if first >= numerics._BULK_MIN else []) + [BLOCK]
         assert (bulk._pos, bulk._end) == (1300, BLOCK)
-        bulk._unread(600)
-        ref = RngState(5)
-        ref._raw(first + 700)
-        assert bulk._raw(600).tolist() == ref._raw(600).tolist() and bulk._s == ref._s
 
     @pytest.mark.parametrize("pairs, first", [(numerics._PAIRS_PER_ROUND, 2 * numerics._PAIRS_PER_ROUND),
                                               (numerics._PAIRS_PER_ROUND + 1, BLOCK)], ids=["one_round", "two_rounds"])
@@ -651,17 +670,6 @@ class TestReadAhead:
         raw = np.concatenate([pieces._raw(numerics._CHUNK) for _ in range(n // numerics._CHUNK)])
         assert np.array_equal(_bits(u), _bits((raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53))
         assert bulk._s == pieces._s and bulk.next_uint64() == pieces.next_uint64()
-
-    def test_only_draws_the_block_served_can_be_given_back(self):
-        rng = RngState(4)
-        first = rng._raw(100)  # below _BULK_MIN the block is the request
-        rng._unread(100)
-        assert rng._s == RngState(4)._s and rng._raw(100).tolist() == first.tolist()
-        with pytest.raises(ValueError, match="cannot give back 101 draws"):
-            rng._unread(101)
-        rng.next_uint64()  # read past the block's end: the block is gone
-        with pytest.raises(ValueError, match="cannot give back 1 draws"):
-            rng._unread(1)
 
 
 @pytest.fixture(scope="module")

@@ -70,7 +70,8 @@ def configs(workloads, cifar_dir: Path) -> dict[str, dict]:
         "ci_linear": _blobs(9, small, [], {"epochs": 3, "batch_size": 16, "weight_decay": 1e-3},
                             {"name": "ic_mixup"}),
         # alpha 1e-3: the Beta boost underflows and ratios are redrawn often; an epoch's
-        # 300 rows take about 13-14k raw draws, so each planned epoch crosses a chunk end
+        # 300 rows take about 13-14k raw draws, so the first planned epoch's walk draws a
+        # read-ahead block and the third one's crosses its end
         "ci_tiny_alpha": _blobs(11, {**small, "per_class": 100}, [16], {"epochs": 3, "batch_size": 16},
                                 {"name": "mixup", "alpha": 0.001}),
         # mixing drops a last batch of one row: 129 rows in batches of 16 leave one, so each
